@@ -28,7 +28,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -36,17 +36,19 @@ import yaml
 
 from .errors import BlowUpError, ConfigError
 from .model import ModelParams, SiteState, check_excitability, peak_activity
+from ._core import write_table
 from .shocks import (AmplitudeLaw, ExplicitSchedule, PeriodicSchedule,
-                     PoissonSchedule, Shock)
-from .single_site import (Trajectory, check_relaxation,
+                     PoissonSchedule, Shock, check_node_site, realize)
+from .single_site import (TRAJECTORY_COLUMNS, check_relaxation,
                           classify_forced_regime, hysteresis_sweep,
                           integrate_site, max_activity_window,
                           save_trajectory)
-from .network import (activation_times, classify_spread, delay_experiment,
+from .network import (NETWORK_COLUMNS, classify_spread, delay_experiment,
                       double_threshold_scan, grid_graph, integrate_network,
                       save_network_trajectory)
-from .continuum import (FieldState, PdeParams, SpatialGrid, cfl_time_step,
-                        integrate_pde, mass_diagnostics, peak_statistics,
+from .continuum import (FIELD_COLUMNS_1D, FIELD_COLUMNS_2D, FieldState,
+                        PdeParams, SpatialGrid, cfl_time_step, integrate_pde,
+                        mass_diagnostics, peak_statistics,
                         save_field_trajectory, steady_states, track_front)
 
 SUMMARY_SCHEMA_VERSION = 1
@@ -90,7 +92,7 @@ SCHEMA: dict = {
                      "drop_duplicate_decay": None},
     },
     "numerics": {"dt": None, "t_end": None, "output_stride": None,
-                 "seed": None, "method": None, "noise": None},
+                 "seed": None, "noise": None},
     "experiment": {
         "kind": None, "eps": None, "delta_fraction": None,
         "seed_node": None, "threshold_fraction": None, "amplitudes": None,
@@ -132,7 +134,7 @@ DEFAULTS: dict = {
                          "normalize": True, "variant": "averaging",
                          "drop_duplicate_decay": False}},
     "numerics": {"dt": 1e-3, "t_end": 50.0, "output_stride": 10, "seed": 0,
-                 "method": "rk4", "noise": "none"},
+                 "noise": "none"},
     "experiment": {"kind": "none", "eps": 1e-3, "delta_fraction": 0.05,
                    "seed_node": 55, "threshold_fraction": 0.2,
                    "amplitudes": [2.0, 6.0, 10.0],
@@ -292,8 +294,6 @@ def _validate(cfg: RunConfig) -> None:
     for key in ("dt", "t_end"):
         if float(num[key]) <= 0.0:
             raise ConfigError(f"numerics.{key} must be > 0")
-    if num["method"] not in ("rk4", "euler"):
-        raise ConfigError("numerics.method must be rk4 or euler")
     if num["noise"] not in ("none", "brownian"):
         raise ConfigError("numerics.noise must be none or brownian")
     if r["model"].startswith("pde"):
@@ -311,6 +311,14 @@ def _validate(cfg: RunConfig) -> None:
         n = int(r["network"]["rows"]) * int(r["network"]["cols"])
         if n < 2:
             raise ConfigError("network needs at least 2 nodes")
+        # the double_threshold and delay experiments build their own shocks
+        if r["experiment"]["kind"] not in ("double_threshold", "delay"):
+            try:
+                for s in realize(cfg.schedule(), float(num["t_end"]),
+                                 int(num["seed"])):
+                    check_node_site(s.site, n)
+            except ValueError as exc:
+                raise ConfigError(f"schedule: {exc}") from exc
 
 
 # ----------------------------------------------------------------------
@@ -488,22 +496,10 @@ def _write_schema(path: Path, columns, description: str) -> None:
          "description": description}, indent=2) + "\n")
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.17g}"
-
-
-def _write_table(path: Path, columns, rows, description: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(" ".join(columns) + "\n")
-        for row in rows:
-            fh.write(" ".join(_format_cell(v) for v in row) + "\n")
-    _write_schema(path, columns, description)
+def _write_table(path: Path, header, formats, columns,
+                 description: str) -> None:
+    write_table(path, header, formats, columns)
+    _write_schema(path, header, description)
 
 
 def _json_ready(value):
@@ -542,7 +538,7 @@ def _run_site(cfg: RunConfig, out: Path) -> dict:
                                 int(g["count"]))
         res = hysteresis_sweep(params, grid_vals)
         _write_table(out / "hysteresis.txt", ("alpha_b", "n_fixed_points"),
-                     list(zip(res.grid, res.counts)),
+                     ("%.17g", "%d"), (res.grid, res.counts),
                      "fixed-point count along the base-tension sweep")
         summary.update(fold=res.fold, alpha_b1=res.alpha_b1,
                        alpha_b2=res.alpha_b2, message=res.message)
@@ -561,12 +557,10 @@ def _run_site(cfg: RunConfig, out: Path) -> dict:
         return summary
 
     traj = integrate_site(params, cfg.schedule(), init, float(num["t_end"]),
-                          dt=float(num["dt"]), method=num["method"],
-                          seed=int(num["seed"]),
+                          dt=float(num["dt"]), seed=int(num["seed"]),
                           record_stride=int(num["output_stride"]))
     save_trajectory(traj, out / "trajectory.txt")
-    _write_schema(out / "trajectory.txt",
-                  ("t", "lambda", "alpha", "shock_flag"),
+    _write_schema(out / "trajectory.txt", TRAJECTORY_COLUMNS,
                   "single-site trajectory; shock_flag marks tension jumps")
     summary["max_activity"] = float(traj.lam.max())
     summary["final_state"] = [float(traj.lam[-1]), float(traj.alpha[-1])]
@@ -607,7 +601,7 @@ def _run_network(cfg: RunConfig, out: Path) -> dict:
             float(num["dt"]), float(exp["threshold_fraction"]),
             record_stride=int(num["output_stride"]))
         _write_table(out / "threshold_scan.txt", ("amplitude", "regime"),
-                     list(zip(scan.amplitudes, scan.regimes)),
+                     ("%.17g", "%s"), (scan.amplitudes, scan.regimes),
                      "spread classification per shock amplitude")
         summary.update(regimes=list(scan.regimes),
                        amplitudes=list(scan.amplitudes),
@@ -639,7 +633,7 @@ def _run_network(cfg: RunConfig, out: Path) -> dict:
                              seed=int(num["seed"]),
                              record_stride=int(num["output_stride"]))
     save_network_trajectory(traj, out / "network.txt")
-    _write_schema(out / "network.txt", ("t", "node", "lambda", "alpha"),
+    _write_schema(out / "network.txt", NETWORK_COLUMNS,
                   "per-node trajectory, nodes fastest-varying")
     summary["max_activity"] = float(traj.lam.max())
     if kind == "spread":
@@ -647,8 +641,8 @@ def _run_network(cfg: RunConfig, out: Path) -> dict:
                               float(exp["threshold_fraction"]))
         _write_table(out / "activation.txt",
                      ("node", "activation_time", "distance"),
-                     [(s, rep.activation[s], rep.distances[s])
-                      for s in range(graph.n)],
+                     ("%d", "%.17g", "%.17g"),
+                     (np.arange(graph.n), rep.activation, rep.distances),
                      "first-passage activation times and hop distances")
         summary.update(regime=rep.regime, n_activated=rep.n_activated,
                        jump_nodes=list(rep.jump_nodes),
@@ -683,8 +677,8 @@ def _run_pde(cfg: RunConfig, out: Path) -> dict:
                          record_stride=int(num["output_stride"]))
     save_field_trajectory(traj, out / "fields.txt")
     _write_schema(out / "fields.txt",
-                  ("t", "x", "lambda", "alpha") if grid.dimension == 1
-                  else ("t", "x", "y", "lambda", "alpha"),
+                  FIELD_COLUMNS_1D if grid.dimension == 1
+                  else FIELD_COLUMNS_2D,
                   "field snapshots at the configured output stride")
     summary["max_activity"] = float(traj.lam.max())
 
@@ -692,9 +686,9 @@ def _run_pde(cfg: RunConfig, out: Path) -> dict:
         rep = mass_diagnostics(traj)
         _write_table(out / "mass.txt",
                      ("t", "lambda_mass", "alpha_mass", "lower_envelope",
-                      "upper_envelope"),
-                     list(zip(rep.times, rep.lam_mass, rep.alpha_mass,
-                              rep.lower_envelope, rep.upper_envelope)),
+                      "upper_envelope"), ("%.17g",) * 5,
+                     (rep.times, rep.lam_mass, rep.alpha_mass,
+                      rep.lower_envelope, rep.upper_envelope),
                      "L1 norms and the exponential envelope of tension mass")
         summary.update(k1=rep.k1, k2=rep.k2, fitted_rate=rep.fitted_rate,
                        rate_within_bounds=rep.rate_within_bounds,
@@ -702,9 +696,10 @@ def _run_pde(cfg: RunConfig, out: Path) -> dict:
     elif kind == "front":
         threshold = exp["threshold"]
         rep = track_front(traj, None if threshold is None else float(threshold))
+        found = np.isfinite(rep.positions)
         _write_table(out / "front.txt", ("t", "front_position"),
-                     [(t, p) for t, p in zip(rep.times, rep.positions)
-                      if np.isfinite(p)],
+                     ("%.17g", "%.17g"),
+                     (rep.times[found], rep.positions[found]),
                      "front position over time")
         summary.update(speed=rep.speed, threshold=rep.threshold,
                        fit_window=rep.fit_window,
@@ -713,8 +708,8 @@ def _run_pde(cfg: RunConfig, out: Path) -> dict:
         rep = peak_statistics(traj, _site_value(exp["trigger"]))
         _write_table(out / "peaks.txt",
                      ("distance", "peak_value", "peak_time"),
-                     list(zip(rep.distances, rep.peak_values,
-                              rep.peak_times)),
+                     ("%.17g",) * 3,
+                     (rep.distances, rep.peak_values, rep.peak_times),
                      "per-cell peak activity and peak time by distance")
         summary.update(p_violation_fraction=rep.p_violation_fraction,
                        t_violation_fraction=rep.t_violation_fraction)
@@ -807,12 +802,13 @@ def sweep(cfg: RunConfig, axis: str, values, output_dir=None) -> list[dict]:
         for key, val in row.items():
             if key in ("axis", "schema_version", "wall_time_s"):
                 continue
-            if key not in keys and not isinstance(val, (list, dict)):
+            if key not in keys and not isinstance(val, (list, tuple, dict)):
                 keys.append(key)
-    table_rows = [tuple(_format_cell(row.get(k, "")) if row.get(k) is not None
-                        else "" for k in keys)
-                  for row in summaries]
-    _write_table(out / "sweep.txt", keys, table_rows,
+    # columns mix types from row to row, so cells are formatted one by one
+    cells = [["" if row.get(k) is None else
+              "%.17g" % row[k] if isinstance(row[k], float) else str(row[k])
+              for row in summaries] for k in keys]
+    _write_table(out / "sweep.txt", keys, ("%s",) * len(keys), cells,
                  f"summaries per {axis} value, input order")
     (out / "sweep.json").write_text(
         json.dumps(_json_ready(summaries), indent=2) + "\n")
@@ -840,11 +836,8 @@ def _load_field_trajectory(cfg: RunConfig, run_dir: Path):
     times = data[::n, 0]
     lam = data[:, 2].reshape(-1, n)
     alpha = data[:, 3].reshape(-1, n)
-    from .shocks import realize
-    sched = cfg.schedule()
-    events = (realize(sched, float(cfg.resolved["numerics"]["t_end"]),
-                      int(cfg.resolved["numerics"]["seed"]))
-              if sched is not None else [])
+    events = realize(cfg.schedule(), float(cfg.resolved["numerics"]["t_end"]),
+                     int(cfg.resolved["numerics"]["seed"]))
     return FieldTrajectory(times, lam, alpha, np.array([], dtype=int),
                            tuple(events), grid, cfg.pde_params())
 

@@ -30,15 +30,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .errors import BlowUpError
+from ._core import drive_arrays, group_events, rk4, write_table
 from .model import (ModelParams, growth_slope_at_zero, peak_activity,
                     self_reinforcement, self_reinforcement_arr,
                     tension_decay_rate, tension_decay_rate_arr,
                     transition_rate, transition_rate_arr)
-from .shocks import Shock, ShockSchedule, realize
+from .shocks import Shock, ShockSchedule
 
 __all__ = [
     "SpatialGrid",
@@ -66,7 +67,6 @@ __all__ = [
 
 CFL_SAFETY = 0.4
 MIN_CELLS = 8
-NEGATIVITY_CLAMP = 1e-12
 FRONT_THRESHOLD_FRACTION = 0.5
 SPEED_FIT_FRACTION = 1.0 / 3.0   # final third of the front samples
 
@@ -355,7 +355,6 @@ def integrate_pde(pp: PdeParams, grid: SpatialGrid,
             f"initial fields must have shape {grid.shape}, got "
             f"{initial.lam.shape}")
 
-    K = None
     if pp.nonlocal_spec is not None:
         K = kernel_matrix(grid, pp.nonlocal_spec)
 
@@ -369,78 +368,20 @@ def integrate_pde(pp: PdeParams, grid: SpatialGrid,
                                             np.maximum(alpha, 0.0)),
                                  grid, pp)
 
-    def step(lam, alpha, h):
-        d1l, d1a = rhs(lam, alpha)
-        d2l, d2a = rhs(lam + 0.5 * h * d1l, alpha + 0.5 * h * d1a)
-        d3l, d3a = rhs(lam + 0.5 * h * d2l, alpha + 0.5 * h * d2a)
-        d4l, d4a = rhs(lam + h * d3l, alpha + h * d3a)
-        return (lam + h * (d1l + 2 * d2l + 2 * d3l + d4l) / 6.0,
-                alpha + h * (d1a + 2 * d2a + 2 * d3a + d4a) / 6.0)
-
-    events = realize(schedule, t_end, seed) if schedule is not None else []
-    grouped: list[tuple[float, list[Shock]]] = []
-    for s in events:
-        if grouped and s.time == grouped[-1][0]:
-            grouped[-1][1].append(s)
-        else:
-            grouped.append((s.time, [s]))
-
-    lam = initial.lam.astype(float).copy()
-    alpha = initial.alpha.astype(float).copy()
-    times = [0.0]
-    marks: list[int] = []
-    gi = 0
-    if grouped and grouped[0][0] <= 0.0:
-        for s in grouped[0][1]:
+    def jump(state, shocks):
+        alpha = state[1].copy()
+        for s in shocks:
             _deposit_field(grid, pp, s, alpha)
-        marks.append(0)
-        gi = 1
-    lams = [lam.copy()]
-    alphas = [alpha.copy()]
+        return state[0], alpha
 
-    clamp_count = 0
-    step_index = 0
-    t_cur = 0.0
-    boundaries = grouped[gi:] + [(t_end, None)]
-    for t_b, jumps in boundaries:
-        span = t_b - t_cur
-        if span <= 0.0:
-            if jumps:
-                for s in jumps:
-                    _deposit_field(grid, pp, s, alpha)
-                alphas[-1] = alpha.copy()
-                marks.append(len(times) - 1)
-            continue
-        seg_start = t_cur
-        n_steps = max(1, int(math.ceil(span / dt - 1e-9)))
-        for k in range(1, n_steps + 1):
-            t_next = t_b if k == n_steps else seg_start + k * dt
-            lam, alpha = step(lam, alpha, t_next - t_cur)
-            clamp_count += int((lam < -NEGATIVITY_CLAMP).sum()
-                               + (alpha < -NEGATIVITY_CLAMP).sum())
-            np.maximum(lam, 0.0, out=lam)
-            np.maximum(alpha, 0.0, out=alpha)
-            if not (np.isfinite(lam).all() and np.isfinite(alpha).all()):
-                raise BlowUpError(t_next)
-            t_cur = t_next
-            step_index += 1
-            if k == n_steps:
-                if jumps:
-                    for s in jumps:
-                        _deposit_field(grid, pp, s, alpha)
-                times.append(t_cur)
-                lams.append(lam.copy())
-                alphas.append(alpha.copy())
-                if jumps:
-                    marks.append(len(times) - 1)
-            elif step_index % record_stride == 0:
-                times.append(t_cur)
-                lams.append(lam.copy())
-                alphas.append(alpha.copy())
-
-    return FieldTrajectory(np.asarray(times), np.asarray(lams),
-                           np.asarray(alphas), np.asarray(marks, dtype=int),
-                           tuple(events), grid, pp, clamp_count)
+    events = group_events(schedule, t_end, seed)
+    *records, clamps = drive_arrays(
+        partial(rk4, rhs), jump,
+        (initial.lam.astype(float), initial.alpha.astype(float)),
+        events, t_end, dt, record_stride)
+    return FieldTrajectory(*records,
+                           tuple(s for _, group in events for s in group),
+                           grid, pp, clamps)
 
 
 @dataclass(frozen=True)
@@ -718,23 +659,16 @@ FIELD_COLUMNS_2D = ("t", "x", "y", "lambda", "alpha")
 
 
 def save_field_trajectory(traj: FieldTrajectory, path) -> None:
-    """Write snapshots as (t, x[, y], lambda, alpha) rows."""
-    with open(path, "w") as fh:
-        if traj.grid.dimension == 1:
-            fh.write(" ".join(FIELD_COLUMNS_1D) + "\n")
-            x = traj.grid.centers()
-            for i, t in enumerate(traj.times):
-                for j in range(x.size):
-                    fh.write(f"{t:.17g} {x[j]:.17g} {traj.lam[i, j]:.17g} "
-                             f"{traj.alpha[i, j]:.17g}\n")
-        else:
-            fh.write(" ".join(FIELD_COLUMNS_2D) + "\n")
-            xc = traj.grid.centers(0)
-            yc = traj.grid.centers(1)
-            for i, t in enumerate(traj.times):
-                for iy in range(yc.size):
-                    for ix in range(xc.size):
-                        fh.write(
-                            f"{t:.17g} {xc[ix]:.17g} {yc[iy]:.17g} "
-                            f"{traj.lam[i, iy, ix]:.17g} "
-                            f"{traj.alpha[i, iy, ix]:.17g}\n")
+    """Write snapshots as (t, x[, y], lambda, alpha) rows; in 2-D y is the
+    outer and x the inner loop."""
+    shape = traj.lam.shape
+    t = np.broadcast_to(traj.times.reshape((-1,) + (1,) * (len(shape) - 1)),
+                        shape)
+    x = np.broadcast_to(traj.grid.centers(0), shape)
+    if traj.grid.dimension == 1:
+        header, coords = FIELD_COLUMNS_1D, (t, x)
+    else:
+        y = np.broadcast_to(traj.grid.centers(1)[:, None], shape)
+        header, coords = FIELD_COLUMNS_2D, (t, x, y)
+    write_table(path, header, ("%.17g",) * len(header),
+                coords + (traj.lam, traj.alpha))

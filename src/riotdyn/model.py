@@ -12,11 +12,10 @@ with three ingredient functions
     r(alpha)  = 1 / (1 + exp(-beta (alpha - a)))   tension-gated switch
     h(lam)    = theta (1 + lam/lambda1)^(-p)  or  theta exp(-p lam)
 
-All three are pluggable (``g_fn``, ``r_fn``, ``h_fn``) but only the default
-forms above are exercised by the test suite.  This module also houses the
-phase-plane machinery: nullclines, fixed points with stability, the peak
-sustainable activity and the tension threshold at which the activity
-nullcline lifts off zero.
+G can be replaced (``g_fn``); r and h are fixed to the forms above.  This
+module also houses the phase-plane machinery: nullclines, fixed points with
+stability, the peak sustainable activity and the tension threshold at which
+the activity nullcline lifts off zero.
 """
 from __future__ import annotations
 
@@ -80,7 +79,7 @@ class ModelParams:
     sigma       multiplicative noise amplitude (>= 0, stochastic runs)
     decay_form  "power" for theta (1+lam/lambda1)^-p, "exponential"
                 for theta exp(-p lam)
-    g_fn/r_fn/h_fn  optional replacement callables for G, r, h
+    g_fn        optional replacement callable for G
     """
 
     omega: float = 0.4
@@ -97,10 +96,6 @@ class ModelParams:
     sigma: float = 0.0
     decay_form: str = "power"
     g_fn: Callable[[float], float] | None = field(
-        default=None, compare=False, repr=False)
-    r_fn: Callable[[float], float] | None = field(
-        default=None, compare=False, repr=False)
-    h_fn: Callable[[float], float] | None = field(
         default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -164,8 +159,6 @@ def transition_rate(alpha: float, params: ModelParams) -> float:
     self-reinforcement that is active at tension ``alpha``."""
     if not math.isfinite(alpha):
         raise ValueError(f"tension must be finite, got {alpha}")
-    if params.r_fn is not None:
-        return params.r_fn(alpha)
     x = -params.beta * (alpha - params.a)
     # exp overflow guard: the sigmoid saturates well before x = +-700
     if x > 700.0:
@@ -181,10 +174,9 @@ def tension_decay_rate(lam: float, params: ModelParams) -> float:
     Power form theta (1 + lam/lambda1)^-p or exponential form
     theta exp(-p lam), selected by ``params.decay_form``; h(0) = theta.
     """
-    if params.h_fn is not None:
-        return params.h_fn(lam)
     if params.decay_form == "power":
-        return params.theta * (1.0 + lam / params.lambda1) ** (-params.p)
+        # ValueError below lam = -lambda1, where ** would turn complex
+        return params.theta * math.pow(1.0 + lam / params.lambda1, -params.p)
     return params.theta * math.exp(-params.p * lam)
 
 
@@ -211,8 +203,6 @@ def self_reinforcement_arr(z: np.ndarray, params: ModelParams) -> np.ndarray:
 def transition_rate_arr(alpha: np.ndarray, params: ModelParams) -> np.ndarray:
     """Elementwise r over an array of tensions."""
     alpha = np.asarray(alpha, dtype=float)
-    if params.r_fn is not None:
-        return np.vectorize(params.r_fn, otypes=[float])(alpha)
     x = np.clip(-params.beta * (alpha - params.a), -700.0, 700.0)
     return 1.0 / (1.0 + np.exp(x))
 
@@ -220,8 +210,6 @@ def transition_rate_arr(alpha: np.ndarray, params: ModelParams) -> np.ndarray:
 def tension_decay_rate_arr(lam: np.ndarray, params: ModelParams) -> np.ndarray:
     """Elementwise h over an array of activities."""
     lam = np.asarray(lam, dtype=float)
-    if params.h_fn is not None:
-        return np.vectorize(params.h_fn, otypes=[float])(lam)
     if params.decay_form == "power":
         return params.theta * (1.0 + lam / params.lambda1) ** (-params.p)
     return params.theta * np.exp(-params.p * lam)
@@ -300,13 +288,6 @@ def tension_threshold(params: ModelParams) -> float:
     if gp0 <= 0.0 or params.omega >= gp0:
         return math.inf
     rc = params.omega / gp0
-    if params.r_fn is not None:
-        f = lambda al: params.r_fn(al) - rc
-        span = 10.0 * (params.a + 1.0)
-        roots = _scan_roots(f, -span, span)
-        if not roots:
-            return -math.inf if params.r_fn(0.0) > rc else math.inf
-        return roots[0]
     if rc <= 0.0:
         return -math.inf
     # sigmoid inversion: a - ln(G'(0)/omega - 1)/beta
@@ -321,7 +302,7 @@ def activity_nullcline(alpha: float, params: ModelParams) -> float:
     """
     if not math.isfinite(alpha):
         raise ValueError(f"tension must be finite, got {alpha}")
-    if params.lambda_b == 0.0 and params.g_fn is None and params.r_fn is None:
+    if params.lambda_b == 0.0 and params.g_fn is None:
         r = transition_rate(alpha, params)
         if r <= params.omega / params.z0:
             return 0.0
@@ -351,10 +332,10 @@ class FixedPoint:
 def _jacobian(lam: float, alpha: float, params: ModelParams):
     """Jacobian of (activity_rate, tension_rate) at a state.
 
-    Analytic for the default forms, central differences when any
-    ingredient function has been replaced.
+    Analytic for the default G, central differences when ``g_fn``
+    replaces it.
     """
-    if params.g_fn is None and params.r_fn is None and params.h_fn is None:
+    if params.g_fn is None:
         r = transition_rate(alpha, params)
         dG = params.z0 - 2.0 * lam
         drdalpha = params.beta * r * (1.0 - r)

@@ -24,15 +24,16 @@ import math
 import warnings
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
-from .errors import BlowUpError
+from ._core import drive_arrays, group_events, rk4, write_table
 from .model import (ModelParams, peak_activity, self_reinforcement_arr,
                     tension_decay_rate, tension_decay_rate_arr,
                     transition_rate_arr)
-from .shocks import ExplicitSchedule, Shock, ShockSchedule, realize
+from .shocks import (ExplicitSchedule, Shock, ShockSchedule, apply_shock,
+                     check_node_site)
 
 __all__ = [
     "Graph",
@@ -52,7 +53,6 @@ __all__ = [
     "save_network_trajectory",
 ]
 
-NEGATIVITY_CLAMP = 1e-12
 ACTIVATION_FRACTION = 0.2   # default threshold_fraction for activation
 
 
@@ -284,20 +284,6 @@ class NetworkTrajectory:
     clamp_count: int = 0
 
 
-def _grouped_node_events(schedule: ShockSchedule, horizon: float,
-                         seed: int | None):
-    """Realized events grouped by time: [(time, [(site, amplitude), ...])]."""
-    grouped: list[tuple[float, list[tuple[int, float]]]] = []
-    for s in realize(schedule, horizon, seed) if schedule is not None else []:
-        if s.site is None:
-            raise ValueError("network shocks need a node id site")
-        if grouped and s.time == grouped[-1][0]:
-            grouped[-1][1].append((int(s.site), s.amplitude))
-        else:
-            grouped.append((s.time, [(int(s.site), s.amplitude)]))
-    return grouped
-
-
 def integrate_network(graph: Graph,
                       params: ModelParams,
                       schedule: ShockSchedule = None,
@@ -315,7 +301,8 @@ def integrate_network(graph: Graph,
     sigma * lam * sqrt(dt) * xi, xi i.i.d. standard normal per node and
     step, drawn from a generator seeded with ``noise_seed`` (bitwise
     reproducible).  ``initial`` may be a NetworkState or a (lam0, alpha0)
-    pair of scalars broadcast to all nodes.
+    pair of scalars broadcast to all nodes.  A shock whose site is not a
+    node id raises ValueError before the first step.
     """
     if dt <= 0.0 or t_end <= 0.0:
         raise ValueError("dt and t_end must be > 0")
@@ -332,90 +319,41 @@ def integrate_network(graph: Graph,
             f"eta_alpha={eta_a:.4g}); tension mass can grow on long runs",
             stacklevel=2)
 
+    events = group_events(schedule, t_end, seed)
+    for _, shocks in events:
+        for s in shocks:
+            check_node_site(s.site, graph.n)
+
     if isinstance(initial, NetworkState):
-        lam = initial.lam.astype(float).copy()
-        alpha = initial.alpha.astype(float).copy()
+        lam = initial.lam.astype(float)
+        alpha = initial.alpha.astype(float)
     else:
         lam0, alpha0 = initial
         lam = np.full(graph.n, float(lam0))
         alpha = np.full(graph.n, float(alpha0))
 
-    rng = np.random.default_rng(noise_seed) if noise == "brownian" else None
-    sigma = params.sigma
+    rhs = partial(_rhs_arrays, graph=graph, params=params)
+    if noise == "brownian":
+        rng = np.random.default_rng(noise_seed)
+        sigma = params.sigma
 
-    def det_step_rk4(lam, alpha, h):
-        d1l, d1a = _rhs_arrays(lam, alpha, graph, params)
-        d2l, d2a = _rhs_arrays(lam + 0.5 * h * d1l, alpha + 0.5 * h * d1a,
-                               graph, params)
-        d3l, d3a = _rhs_arrays(lam + 0.5 * h * d2l, alpha + 0.5 * h * d2a,
-                               graph, params)
-        d4l, d4a = _rhs_arrays(lam + h * d3l, alpha + h * d3a, graph, params)
-        return (lam + h * (d1l + 2 * d2l + 2 * d3l + d4l) / 6.0,
-                alpha + h * (d1a + 2 * d2a + 2 * d3a + d4a) / 6.0)
+        def move(lam, alpha, h):
+            dl, da = rhs(lam, alpha)
+            xi = rng.standard_normal(graph.n)
+            return (lam + h * dl + sigma * lam * math.sqrt(h) * xi,
+                    alpha + h * da)
+    else:
+        move = partial(rk4, rhs)
 
-    def em_step(lam, alpha, h):
-        dl, da = _rhs_arrays(lam, alpha, graph, params)
-        xi = rng.standard_normal(graph.n)
-        return (lam + h * dl + sigma * lam * math.sqrt(h) * xi,
-                alpha + h * da)
+    def jump(state, shocks):
+        alpha = state[1]
+        for s in shocks:
+            alpha = apply_shock(alpha, s)
+        return state[0], alpha
 
-    step = em_step if noise == "brownian" else det_step_rk4
-
-    grouped = _grouped_node_events(schedule, t_end, seed)
-    times = [0.0]
-    marks: list[int] = []
-    gi = 0
-    if grouped and grouped[0][0] <= 0.0:
-        for site, amp in grouped[0][1]:
-            alpha[site] += amp
-        marks.append(0)
-        gi = 1
-    lams = [lam.copy()]
-    alphas = [alpha.copy()]
-
-    clamp_count = 0
-    step_index = 0
-    t_cur = 0.0
-    boundaries = grouped[gi:] + [(t_end, None)]
-    for t_b, jumps in boundaries:
-        span = t_b - t_cur
-        if span <= 0.0:
-            if jumps:
-                for site, amp in jumps:
-                    alpha[site] += amp
-                alphas[-1] = alpha.copy()
-                marks.append(len(times) - 1)
-            continue
-        seg_start = t_cur
-        n_steps = max(1, int(math.ceil(span / dt - 1e-9)))
-        for k in range(1, n_steps + 1):
-            t_next = t_b if k == n_steps else seg_start + k * dt
-            lam, alpha = step(lam, alpha, t_next - t_cur)
-            clamp_count += int((lam < -NEGATIVITY_CLAMP).sum()
-                               + (alpha < -NEGATIVITY_CLAMP).sum())
-            np.maximum(lam, 0.0, out=lam)
-            np.maximum(alpha, 0.0, out=alpha)
-            if not (np.isfinite(lam).all() and np.isfinite(alpha).all()):
-                raise BlowUpError(t_next)
-            t_cur = t_next
-            step_index += 1
-            if k == n_steps:
-                if jumps:
-                    for site, amp in jumps:
-                        alpha[site] += amp
-                times.append(t_cur)
-                lams.append(lam.copy())
-                alphas.append(alpha.copy())
-                if jumps:
-                    marks.append(len(times) - 1)
-            elif step_index % record_stride == 0:
-                times.append(t_cur)
-                lams.append(lam.copy())
-                alphas.append(alpha.copy())
-
-    return NetworkTrajectory(np.asarray(times), np.asarray(lams),
-                             np.asarray(alphas), np.asarray(marks, dtype=int),
-                             params, graph, clamp_count)
+    *records, clamps = drive_arrays(move, jump, (lam, alpha), events, t_end,
+                                    dt, record_stride)
+    return NetworkTrajectory(*records, params, graph, clamps)
 
 
 def activation_times(traj: NetworkTrajectory,
@@ -659,9 +597,8 @@ NETWORK_COLUMNS = ("t", "node", "lambda", "alpha")
 
 def save_network_trajectory(traj: NetworkTrajectory, path) -> None:
     """Write (t, node, lambda, alpha) rows, nodes fastest-varying."""
-    with open(path, "w") as fh:
-        fh.write(" ".join(NETWORK_COLUMNS) + "\n")
-        for i, t in enumerate(traj.times):
-            for s in range(traj.graph.n):
-                fh.write(f"{t:.17g} {s:d} {traj.lam[i, s]:.17g} "
-                         f"{traj.alpha[i, s]:.17g}\n")
+    shape = traj.lam.shape
+    write_table(path, NETWORK_COLUMNS, ("%.17g", "%d", "%.17g", "%.17g"),
+                (np.broadcast_to(traj.times[:, None], shape),
+                 np.broadcast_to(np.arange(traj.graph.n), shape),
+                 traj.lam, traj.alpha))

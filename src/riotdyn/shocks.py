@@ -26,6 +26,7 @@ __all__ = [
     "ShockSchedule",
     "realize",
     "apply_shock",
+    "check_node_site",
 ]
 
 Site = Union[int, float, tuple, None]
@@ -158,24 +159,28 @@ def realize(schedule: ShockSchedule, horizon: float,
     raise TypeError(f"unknown schedule type {type(schedule).__name__}")
 
 
+def check_node_site(site, n: int) -> None:
+    """Reject a network shock site that is not a node id in [0, n)."""
+    if not isinstance(site, (int, np.integer)) or not 0 <= site < n:
+        raise ValueError(
+            f"network shock site {site!r} is not a node id in [0, {n})")
+
+
 def apply_shock(state, shock: Shock):
     """Apply one impulse: tension at the shocked site jumps by the amplitude,
     activity is untouched.
 
     Accepts a ``SiteState`` (site ignored) or a per-node tension array with
-    an integer ``shock.site``; spatial grids handle their own cell-measure
-    deposit inside the continuum integrator.
+    a node id ``shock.site`` (else ValueError, see :func:`check_node_site`);
+    spatial grids handle their own cell-measure deposit inside the continuum
+    integrator.
     """
     from .model import SiteState
 
     if isinstance(state, SiteState):
         return SiteState(state.lam, state.alpha + shock.amplitude)
     alpha = np.asarray(state, dtype=float)
-    site = shock.site
-    if not isinstance(site, (int, np.integer)):
-        raise TypeError(f"array states need an integer site, got {site!r}")
-    if not 0 <= site < alpha.shape[0]:
-        raise IndexError(f"site {site} out of range for {alpha.shape[0]} nodes")
+    check_node_site(shock.site, alpha.shape[0])
     out = alpha.copy()
-    out[site] += shock.amplitude
+    out[shock.site] += shock.amplitude
     return out

@@ -1,7 +1,7 @@
 """Single-site dynamics under shocks, and the analyses built on them.
 
 The integrator advances the coupled activity/tension reactions with a fixed
-step (classical RK4 by default), stops exactly at every shock time, applies
+step (classical RK4), stops exactly at every shock time, applies
 the tension jump there, and resumes.  A shock at t=0 is applied after the
 initial condition is set, so the recorded state at t=0 already includes it.
 Recorded tension therefore jumps only at marked indices while activity stays
@@ -19,10 +19,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._core import NEGATIVITY_CLAMP, drive, group_events, write_table
 from .errors import BlowUpError
 from .model import (ModelParams, SiteState, activity_rate, fixed_points,
-                    peak_activity, tension_nullcline, tension_rate,
-                    transition_rate)
+                    peak_activity, tension_nullcline, tension_rate)
 from .shocks import ShockSchedule, realize
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "load_trajectory",
 ]
 
-NEGATIVITY_CLAMP = 1e-12   # roundoff below this magnitude is clamped silently
 CLAMP_WARN_COUNT = 1_000_000
 # Sustained-regime floor and transient handling for forced runs.
 SUSTAINED_FLOOR_BASE_FACTOR = 10.0
@@ -68,13 +67,13 @@ class Trajectory:
 
 def _make_rhs(params: ModelParams):
     """Scalar RHS closure; constants hoisted for the default forms."""
-    if params.g_fn is None and params.r_fn is None and params.h_fn is None:
+    if params.g_fn is None:
         omega, z0, beta, a = params.omega, params.z0, params.beta, params.a
         theta, p, lam1 = params.theta, params.p, params.lambda1
         lam_b = params.lambda_b
         source = params.theta * params.alpha_b
         power = params.decay_form == "power"
-        exp = math.exp
+        exp, pow_ = math.exp, math.pow
 
         def rhs(lam: float, alpha: float) -> tuple[float, float]:
             x = -beta * (alpha - a)
@@ -85,7 +84,8 @@ def _make_rhs(params: ModelParams):
             else:
                 r = 1.0 / (1.0 + exp(x))
             if power:
-                h = theta * (1.0 + lam / lam1) ** (-p)
+                # math.pow raises ValueError where ** would turn complex
+                h = theta * pow_(1.0 + lam / lam1, -p)
             else:
                 h = theta * exp(-p * lam)
             return (-omega * (lam - lam_b) + r * lam * (z0 - lam),
@@ -96,33 +96,21 @@ def _make_rhs(params: ModelParams):
                                tension_rate(lam, alpha, params))
 
 
-def _grouped_events(schedule: ShockSchedule, horizon: float,
-                    seed: int | None) -> list[tuple[float, float]]:
-    """Realized (time, total amplitude) pairs; simultaneous shocks add up."""
-    grouped: list[tuple[float, float]] = []
-    for s in realize(schedule, horizon, seed) if schedule is not None else []:
-        if grouped and s.time == grouped[-1][0]:
-            grouped[-1] = (s.time, grouped[-1][1] + s.amplitude)
-        else:
-            grouped.append((s.time, s.amplitude))
-    return grouped
-
-
 def integrate_site(params: ModelParams,
                    schedule: ShockSchedule = None,
                    initial: SiteState = SiteState(0.0, 0.0),
                    t_end: float = 50.0,
                    dt: float = 1e-3,
-                   method: str = "rk4",
                    seed: int | None = None,
                    record_stride: int = 1,
                    min_activity: float | None = None) -> Trajectory:
     """Integrate one site from ``initial`` to ``t_end`` under a schedule.
 
-    Fixed-step integration with exact stopping at every shock time (a
-    partial final step per segment); the tension jump is applied there and
-    the post-jump state recorded.  Negative roundoff is clamped to zero (and
-    counted); a non-finite state aborts with :class:`BlowUpError`.
+    Classical RK4 with a fixed step and exact stopping at every shock time
+    (a partial final step per segment); the tension jump is applied there
+    and the post-jump state recorded.  Negative roundoff is clamped to zero
+    (and counted); a state that leaves the real, finite domain aborts with
+    :class:`BlowUpError`.
 
     ``min_activity``, when set, re-injects ``lam = max(lam, min_activity)``
     after every step: a stand-in for the arbitrarily small perturbation that
@@ -138,97 +126,53 @@ def integrate_site(params: ModelParams,
         raise ValueError(f"dt must be > 0, got {dt}")
     if t_end <= 0.0:
         raise ValueError(f"t_end must be > 0, got {t_end}")
-    if method not in ("rk4", "euler"):
-        raise ValueError(f"method must be rk4 or euler, got {method!r}")
-    if record_stride < 1:
-        raise ValueError("record_stride must be >= 1")
 
     rhs = _make_rhs(params)
-    if method == "rk4":
-        def step(lam, alpha, h):
+    clamp_count = 0
+
+    def step(state, t, h):
+        # _core.rk4 inlined: the extra call costs the site step about 7%
+        nonlocal clamp_count
+        lam, alpha = state
+        try:
             d1l, d1a = rhs(lam, alpha)
             d2l, d2a = rhs(lam + 0.5 * h * d1l, alpha + 0.5 * h * d1a)
             d3l, d3a = rhs(lam + 0.5 * h * d2l, alpha + 0.5 * h * d2a)
             d4l, d4a = rhs(lam + h * d3l, alpha + h * d3a)
-            return (lam + h * (d1l + 2.0 * d2l + 2.0 * d3l + d4l) / 6.0,
-                    alpha + h * (d1a + 2.0 * d2a + 2.0 * d3a + d4a) / 6.0)
-    else:
-        def step(lam, alpha, h):
-            dl, da = rhs(lam, alpha)
-            return lam + h * dl, alpha + h * da
+        except (ValueError, OverflowError) as exc:
+            raise BlowUpError(t, f"state left the finite domain at "
+                              f"t={t:.6g}: {exc}") from exc
+        lam += h * (d1l + 2.0 * d2l + 2.0 * d3l + d4l) / 6.0
+        alpha += h * (d1a + 2.0 * d2a + 2.0 * d3a + d4a) / 6.0
+        if lam < 0.0:
+            if lam < -NEGATIVITY_CLAMP:
+                clamp_count += 1
+            lam = 0.0
+        if alpha < 0.0:
+            if alpha < -NEGATIVITY_CLAMP:
+                clamp_count += 1
+            alpha = 0.0
+        if min_activity is not None and lam < min_activity:
+            lam = min_activity
+        if not (math.isfinite(lam) and math.isfinite(alpha)):
+            raise BlowUpError(t)
+        return lam, alpha
 
-    grouped = _grouped_events(schedule, t_end, seed)
-    lam, alpha = float(initial.lam), float(initial.alpha)
+    def jump(state, shocks):
+        return state[0], state[1] + sum(s.amplitude for s in shocks)
+
+    lam = float(initial.lam)
     if min_activity is not None and lam < min_activity:
         lam = min_activity
-
-    times = [0.0]
-    lams = [lam]
-    alphas = [alpha]
-    marks: list[int] = []
-    gi = 0
-    if grouped and grouped[0][0] <= 0.0:
-        alpha += grouped[0][1]
-        alphas[0] = alpha
-        marks.append(0)
-        gi = 1
-
-    clamp_count = 0
-    step_index = 0
-    t_cur = 0.0
-    boundaries = grouped[gi:] + [(t_end, 0.0)]
-    for seg_index, (t_b, amp) in enumerate(boundaries):
-        is_shock = seg_index < len(boundaries) - 1
-        seg_start = t_cur
-        span = t_b - seg_start
-        if span <= 0.0:
-            # shock coincides with the previous boundary time
-            if is_shock:
-                alpha += amp
-                alphas[-1] = alpha
-                marks.append(len(times) - 1)
-            continue
-        n_steps = max(1, int(math.ceil(span / dt - 1e-9)))
-        for k in range(1, n_steps + 1):
-            t_next = t_b if k == n_steps else seg_start + k * dt
-            try:
-                lam, alpha = step(lam, alpha, t_next - t_cur)
-            except (ValueError, OverflowError) as exc:
-                raise BlowUpError(t_next, f"state left the finite domain at "
-                                  f"t={t_next:.6g}: {exc}") from exc
-            if lam < 0.0:
-                if lam < -NEGATIVITY_CLAMP:
-                    clamp_count += 1
-                lam = 0.0
-            if alpha < 0.0:
-                if alpha < -NEGATIVITY_CLAMP:
-                    clamp_count += 1
-                alpha = 0.0
-            if min_activity is not None and lam < min_activity:
-                lam = min_activity
-            if not (math.isfinite(lam) and math.isfinite(alpha)):
-                raise BlowUpError(t_next)
-            t_cur = t_next
-            step_index += 1
-            if k == n_steps:
-                if is_shock:
-                    alpha += amp
-                times.append(t_cur)
-                lams.append(lam)
-                alphas.append(alpha)
-                if is_shock:
-                    marks.append(len(times) - 1)
-            elif step_index % record_stride == 0:
-                times.append(t_cur)
-                lams.append(lam)
-                alphas.append(alpha)
+    records = drive(step, jump, (lam, float(initial.alpha)),
+                    group_events(schedule, t_end, seed), t_end, dt,
+                    record_stride)
 
     if clamp_count > CLAMP_WARN_COUNT:
         warnings.warn(
             f"integration clamped {clamp_count} negative values; results may "
             "be dominated by roundoff", stacklevel=2)
-    return Trajectory(np.asarray(times), np.asarray(lams), np.asarray(alphas),
-                      np.asarray(marks, dtype=int), params, clamp_count)
+    return Trajectory(*records, params, clamp_count)
 
 
 def _relaxation_floors(params: ModelParams) -> tuple[float, float]:
@@ -418,12 +362,10 @@ TRAJECTORY_COLUMNS = ("t", "lambda", "alpha", "shock_flag")
 
 def save_trajectory(traj: Trajectory, path) -> None:
     """Write columnar text: header row then (t, lambda, alpha, shock_flag)."""
-    flags = np.zeros(traj.times.size, dtype=int)
+    flags = np.zeros(traj.times.size, dtype=np.int8)
     flags[traj.shock_marks] = 1
-    with open(path, "w") as fh:
-        fh.write(" ".join(TRAJECTORY_COLUMNS) + "\n")
-        for t, lam, alpha, flag in zip(traj.times, traj.lam, traj.alpha, flags):
-            fh.write(f"{t:.17g} {lam:.17g} {alpha:.17g} {flag:d}\n")
+    write_table(path, TRAJECTORY_COLUMNS, ("%.17g", "%.17g", "%.17g", "%d"),
+                (traj.times, traj.lam, traj.alpha, flags))
 
 
 def load_trajectory(path, params: ModelParams) -> Trajectory:

@@ -9,6 +9,19 @@ from riotdyn import ConfigError
 from riotdyn.cli import (PRESETS, RunConfig, analyze, emit_config, main,
                          parse_config, run, sweep)
 
+NONLOCAL_CONFIG = {
+    "model": "pde_nonlocal",
+    "params": {"omega": 0.2, "theta": 0.3, "eta": 0.01, "p": 0.7,
+               "z0": 10.0, "beta": 3.0, "a": 2.0},
+    "grid": {"length": 16.0, "cells": 32},
+    "pde": {"diffusivity": 0.5,
+            "nonlocal": {"eta_bar": 0.05,
+                         "kernel": {"kind": "tophat", "radius": 2.0}}},
+    "schedule": {"kind": "explicit",
+                 "shocks": [{"time": 0.0, "amplitude": 5.0, "site": 8.0}]},
+    "numerics": {"dt": 0.02, "t_end": 2.0, "output_stride": 10},
+}
+
 
 class TestParseConfig:
     def test_minimal_config_expands_all_defaults(self):
@@ -57,6 +70,32 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config({"model": "site", "params": {"omega": -1.0}})
 
+    @pytest.mark.parametrize("site", [500, -1])
+    def test_network_shock_site_out_of_range(self, site):
+        with pytest.raises(ConfigError, match="node id"):
+            parse_config({"model": "network",
+                          "network": {"rows": 3, "cols": 3},
+                          "schedule": {"kind": "explicit",
+                                       "shocks": [{"time": 0.0,
+                                                   "amplitude": 1.0,
+                                                   "site": site}]}})
+
+    @pytest.mark.parametrize("kind,rejected", [
+        ("double_threshold", False), ("delay", False), ("spread", True)])
+    def test_network_site_check_only_where_schedule_runs(self, kind,
+                                                         rejected):
+        # a site-less periodic schedule is only an error for the kinds that
+        # integrate the configured schedule
+        data = {"preset": "net-double-threshold",
+                "schedule": {"kind": "periodic", "amplitude": 1.0,
+                             "period": 5.0},
+                "experiment": {"kind": kind}}
+        if rejected:
+            with pytest.raises(ConfigError, match="node id"):
+                parse_config(data)
+        else:
+            assert parse_config(data).schedule().site is None
+
     def test_schedule_objects_constructed(self):
         cfg = parse_config({"preset": "fig-periodic"})
         sched = cfg.schedule()
@@ -76,14 +115,42 @@ class TestRun:
         assert summary["schema_version"] == 1
         assert "wall_time_s" in summary
 
+    # one small run per model; the network run is Brownian, so its noise
+    # stream must be reproducible too
+    RERUN_CONFIGS = {
+        "site": {"preset": "fig-nullcline"},
+        "network": {
+            "model": "network",
+            "params": {"eta": 0.1, "sigma": 0.3, "lambda_b": 0.01},
+            "network": {"rows": 3, "cols": 4, "social": "copy_of_V"},
+            "schedule": {"kind": "explicit",
+                         "shocks": [{"time": 0.0, "amplitude": 4.0,
+                                     "site": 5}]},
+            "numerics": {"t_end": 2.0, "dt": 1e-2, "output_stride": 3,
+                         "noise": "brownian"}},
+        "pde_local": {
+            "model": "pde_local",
+            "params": {"eta": 0.01},
+            "grid": {"length": 8.0, "cells": 32},
+            "schedule": {"kind": "explicit",
+                         "shocks": [{"time": 0.0, "amplitude": 3.0,
+                                     "site": 4.0}]},
+            "numerics": {"dt": 0.01, "t_end": 1.0, "output_stride": 7}},
+        "pde_nonlocal": NONLOCAL_CONFIG,
+    }
+
     def test_rerun_data_files_byte_identical(self, tmp_path):
-        cfg = parse_config({"preset": "fig-nullcline"})
-        run(cfg, tmp_path / "a")
-        run(cfg, tmp_path / "b")
-        assert ((tmp_path / "a" / "trajectory.txt").read_bytes()
-                == (tmp_path / "b" / "trajectory.txt").read_bytes())
-        assert ((tmp_path / "a" / "resolved_config.yaml").read_bytes()
-                == (tmp_path / "b" / "resolved_config.yaml").read_bytes())
+        for model, config in self.RERUN_CONFIGS.items():
+            cfg = parse_config(config)
+            run(cfg, tmp_path / model / "a")
+            run(cfg, tmp_path / model / "b")
+            names = sorted(p.name for p in (tmp_path / model / "a").iterdir()
+                           if p.name != "summary.json")
+            assert len(names) == 3, (model, names)   # config, data, schema
+            for name in names:
+                assert ((tmp_path / model / "a" / name).read_bytes()
+                        == (tmp_path / model / "b" / name).read_bytes()), \
+                    (model, name)
 
     def test_steady_states_preset(self, tmp_path):
         result = run(parse_config({"preset": "pde-monostable"}),
@@ -137,18 +204,7 @@ class TestPresetRuns:
 
 
 class TestNonlocalConfig:
-    CONFIG = {
-        "model": "pde_nonlocal",
-        "params": {"omega": 0.2, "theta": 0.3, "eta": 0.01, "p": 0.7,
-                   "z0": 10.0, "beta": 3.0, "a": 2.0},
-        "grid": {"length": 16.0, "cells": 32},
-        "pde": {"diffusivity": 0.5,
-                "nonlocal": {"eta_bar": 0.05,
-                             "kernel": {"kind": "tophat", "radius": 2.0}}},
-        "schedule": {"kind": "explicit",
-                     "shocks": [{"time": 0.0, "amplitude": 5.0, "site": 8.0}]},
-        "numerics": {"dt": 0.02, "t_end": 2.0, "output_stride": 10},
-    }
+    CONFIG = NONLOCAL_CONFIG
 
     def test_nonlocal_run(self, tmp_path):
         result = run(parse_config(self.CONFIG), tmp_path / "nl")
@@ -187,6 +243,18 @@ class TestSweep:
         assert rows[0]["status"] == "failed"
         assert rows[1]["status"] == "ok"
 
+    def test_tuple_summaries_stay_out_of_the_table(self, tmp_path):
+        # max_activity_window returns a (t0, t1) pair; it goes to sweep.json
+        cfg = parse_config({"preset": "fig-slow",
+                            "numerics": {"t_end": 20.0},
+                            "experiment": {"kind": "window"}})
+        rows = sweep(cfg, "params.omega", [0.2, 0.3], tmp_path / "s")
+        assert all(len(row["window"]) == 2 for row in rows)
+        table = (tmp_path / "s" / "sweep.txt").read_text().splitlines()
+        header = table[0].split()
+        assert "window" not in header and "window_length" in header
+        assert all(len(line.split()) == len(header) for line in table[1:])
+
     def test_empty_values_rejected(self, tmp_path):
         cfg = parse_config({"preset": "fig-nullcline"})
         with pytest.raises(ConfigError):
@@ -212,6 +280,34 @@ class TestMain:
         bad.write_text("model: site\nbogus: 1\n")
         assert main(["run", str(bad)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_complex_rk_stage_aborts_cleanly(self, tmp_path, capsys):
+        # from lam=100 with dt=0.1 an RK stage takes lam below -lambda1,
+        # where the power-form tension decay turns complex
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(yaml.safe_dump(
+            {"model": "site", "initial": {"lambda0": 100, "alpha0": 5},
+             "numerics": {"dt": 0.1, "t_end": 5}}))
+        out = tmp_path / "o"
+        assert main(["run", str(cfg_path), "--output", str(out)]) == 3
+        assert "integration aborted" in capsys.readouterr().err
+        abort = json.loads((out / "abort.json").read_text())
+        assert abort["status"] == "aborted" and 0.0 < abort["time"] <= 5.0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"] == "aborted"
+
+    @pytest.mark.parametrize("site", [500, -1])
+    def test_network_shock_site_exit_code(self, tmp_path, capsys, site):
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(yaml.safe_dump(
+            {"model": "network", "network": {"rows": 3, "cols": 3},
+             "schedule": {"kind": "explicit",
+                          "shocks": [{"time": 0.0, "amplitude": 1.0,
+                                      "site": site}]},
+             "numerics": {"t_end": 1.0}}))
+        assert main(["run", str(cfg_path), "--output",
+                     str(tmp_path / "o")]) == 2
+        assert "node id" in capsys.readouterr().err
 
     def test_preset_with_override(self, tmp_path, capsys):
         code = main(["preset", "pde-monostable", "--override",

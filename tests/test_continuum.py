@@ -10,7 +10,7 @@ from riotdyn import (ExplicitSchedule, FieldState, FieldTrajectory,
                      cfl_time_step, find_bistability_boundary, integrate_pde,
                      kernel_matrix, laplacian, mass_diagnostics, peak_activity,
                      pde_rhs_local, pde_rhs_nonlocal, peak_statistics,
-                     steady_states, track_front)
+                     save_field_trajectory, steady_states, track_front)
 
 # regime-classification family (the bistable/monostable front presets)
 REGIME = ModelParams(omega=0.2, theta=0.05, eta=0.01, p=0.5, z0=10.0,
@@ -201,6 +201,31 @@ class TestIntegratePde:
         assert traj.lam.shape == (traj.times.size, 64)
         k = int(traj.shock_marks[0])
         assert traj.times[k] == pytest.approx(1.0)
+
+    def test_2d_field_write_round_trip(self, tmp_path):
+        g = SpatialGrid((5.0, 4.0), (10, 8))       # nx=10, ny=8, dx=0.5
+        pp = PdeParams(model=MASS, D=0.5)
+        traj = integrate_pde(
+            pp, g, ExplicitSchedule([Shock(0.0, 3.0, (1.2, 3.1))]),
+            None, t_end=0.2, dt=0.02, record_stride=4)
+        path = tmp_path / "fields.txt"
+        save_field_trajectory(traj, path)
+        assert path.read_text().splitlines()[0] == "t x y lambda alpha"
+        data = np.loadtxt(path, skiprows=1)
+        T, ny, nx = traj.lam.shape
+        assert data.shape == (T * ny * nx, 5)
+        rows = data.reshape(T, ny, nx, 5)
+        # y is the outer and x the inner loop within each snapshot
+        np.testing.assert_array_equal(
+            rows[..., 0],
+            np.broadcast_to(traj.times[:, None, None], (T, ny, nx)))
+        np.testing.assert_array_equal(rows[0, 0, :, 1], g.centers(0))
+        np.testing.assert_array_equal(rows[0, :, 0, 2], g.centers(1))
+        # %.17g round-trips float64 exactly
+        np.testing.assert_array_equal(rows[..., 3], traj.lam)
+        np.testing.assert_array_equal(rows[..., 4], traj.alpha)
+        # the one deposit cell at t=0 is row iy=6, column ix=2
+        assert np.argwhere(rows[0, ..., 4]).tolist() == [[6, 2]]
 
 
 class TestMassDiagnostics:

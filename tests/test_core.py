@@ -1,0 +1,69 @@
+"""The stepping loop shared by the site, network and continuum integrators."""
+import numpy as np
+import pytest
+
+from riotdyn import (ExplicitSchedule, FieldState, ModelParams, PdeParams,
+                     Shock, SiteState, SpatialGrid, grid_graph,
+                     integrate_network, integrate_pde, integrate_site)
+
+from conftest import BASE
+
+DT, T_END, STRIDE = 0.1, 1.0, 3
+# one shock at t=0, two coincident ones off the dt grid, one at t_end
+SHOCKS = ((0.0, 2.0), (0.37, 1.0), (0.37, 0.5), (T_END, 0.25))
+GROUPS = {0.0: 2.0, 0.37: 1.5, T_END: 0.25}
+# segment [0, 0.37] takes steps 1-4 and [0.37, 1] steps 5-11; every third
+# step is kept, and so are the two shock times and the final time
+EXPECTED_TIMES = [0.0, 0.3, 0.37, 0.57, 0.87, 1.0]
+EXPECTED_MARKS = [0, 2, 5]
+
+GRID = SpatialGrid((4.0,), (8,))
+PDE = PdeParams(model=BASE, D=0.1)
+NET = ModelParams(eta=0.1)
+
+
+def run(model, t_end, shocks):
+    """Integrate ``model`` to ``t_end`` under ``shocks``; return the times,
+    the shock marks, and per record the activity and the tension total."""
+    if model == "site":
+        traj = integrate_site(
+            BASE, ExplicitSchedule([Shock(t, a) for t, a in shocks]),
+            SiteState(0.3, 0.5), t_end, dt=DT, record_stride=STRIDE)
+        totals = traj.alpha
+    elif model == "network":
+        traj = integrate_network(
+            grid_graph(2, 2), NET,
+            ExplicitSchedule([Shock(t, a, 1) for t, a in shocks]),
+            (0.3, 0.5), t_end, dt=DT, record_stride=STRIDE)
+        totals = traj.alpha.sum(axis=1)
+    else:
+        initial = FieldState(np.full(GRID.shape, 0.3),
+                             np.full(GRID.shape, 0.5))
+        traj = integrate_pde(
+            PDE, GRID, ExplicitSchedule([Shock(t, a, 1.3) for t, a in shocks]),
+            initial, t_end, dt=DT, record_stride=STRIDE)
+        totals = traj.alpha.sum(axis=1) * GRID.cell_measure
+    return traj.times, traj.shock_marks, traj.lam, totals
+
+
+@pytest.mark.parametrize("model", ["site", "network", "pde"])
+def test_shock_stops_and_stride_recording(model):
+    times, marks, lam, totals = run(model, T_END, SHOCKS)
+    site_times, site_marks, _, _ = run("site", T_END, SHOCKS)
+    np.testing.assert_array_equal(times, site_times)
+    np.testing.assert_array_equal(marks, site_marks)
+    assert times.tolist() == pytest.approx(EXPECTED_TIMES, abs=1e-12)
+    assert marks.tolist() == EXPECTED_MARKS
+    # every shock time is hit exactly, not merely within a step
+    assert [times[i] for i in marks] == list(GROUPS)
+    # the record at each mark is post-jump: a run stopped at the same time
+    # without that group ends on the pre-jump state
+    initial_total = {"site": 0.5, "network": 2.0, "pde": 0.5 * 4.0}[model]
+    assert totals[0] == pytest.approx(initial_total + GROUPS[0.0], abs=1e-12)
+    for i, t in zip(marks[1:], list(GROUPS)[1:]):
+        _, _, lam_pre, totals_pre = run(
+            model, t, [(ts, a) for ts, a in SHOCKS if ts < t])
+        np.testing.assert_array_equal(lam[i], lam_pre[-1])
+        assert totals[i] - totals_pre[-1] == pytest.approx(GROUPS[t],
+                                                           abs=1e-12)
+

@@ -156,6 +156,16 @@ class TestIntegrateNetwork:
             integrate_network(g, BASE, ExplicitSchedule([Shock(0.0, 1.0)]),
                               (0.0, 0.0), t_end=1.0)
 
+    @pytest.mark.parametrize("site", [500, -1])
+    def test_shock_site_out_of_range_rejected(self, site):
+        # -1 would otherwise index the last node; checked before any step,
+        # so a shock late in the run fails at once
+        g = grid_graph(3, 3)
+        with pytest.raises(ValueError, match="node id"):
+            integrate_network(g, BASE,
+                              ExplicitSchedule([Shock(0.5, 1.0, site)]),
+                              (0.0, 0.0), t_end=1.0, dt=1e-3)
+
 
 class TestActivationTimes:
     def test_seed_activates_after_strong_shock(self):

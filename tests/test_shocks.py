@@ -100,7 +100,7 @@ class TestApplyShock:
         assert out.sum() == alpha.sum() + 5.0
 
     def test_site_out_of_range(self):
-        with pytest.raises(IndexError):
+        with pytest.raises(ValueError, match="node id"):
             apply_shock(np.zeros(3), Shock(0.0, 1.0, site=3))
 
 
