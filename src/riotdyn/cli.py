@@ -25,6 +25,7 @@ import argparse
 import copy
 import json
 import math
+import numbers
 import os
 import sys
 import time
@@ -294,6 +295,11 @@ def _validate(cfg: RunConfig) -> None:
     for key in ("dt", "t_end"):
         if float(num[key]) <= 0.0:
             raise ConfigError(f"numerics.{key} must be > 0")
+    stride = num["output_stride"]
+    if (isinstance(stride, bool) or not isinstance(stride, numbers.Integral)
+            or stride < 1):
+        raise ConfigError(
+            f"numerics.output_stride must be an integer >= 1, got {stride!r}")
     if num["noise"] not in ("none", "brownian"):
         raise ConfigError("numerics.noise must be none or brownian")
     if r["model"].startswith("pde"):
@@ -804,8 +810,9 @@ def sweep(cfg: RunConfig, axis: str, values, output_dir=None) -> list[dict]:
                 continue
             if key not in keys and not isinstance(val, (list, tuple, dict)):
                 keys.append(key)
-    # columns mix types from row to row, so cells are formatted one by one
-    cells = [["" if row.get(k) is None else
+    # columns mix types from row to row, so cells are formatted one by one;
+    # a missing value is written as nan so that every row has every column
+    cells = [["nan" if row.get(k) is None else
               "%.17g" % row[k] if isinstance(row[k], float) else str(row[k])
               for row in summaries] for k in keys]
     _write_table(out / "sweep.txt", keys, ("%s",) * len(keys), cells,

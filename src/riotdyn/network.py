@@ -80,8 +80,8 @@ class Graph:
         if (self.V != self.V.T).any():
             raise ValueError("V must be symmetric")
 
-    # V and C are fixed after validation; the network RHS reads these four
-    # times per RK4 step, so they are computed once per graph
+    # V and C are fixed after validation, so what the RHS and the coupling
+    # checks read of them is computed once per graph
     @cached_property
     def degrees_geo(self) -> np.ndarray:
         return self.V.sum(axis=1)
@@ -90,9 +90,15 @@ class Graph:
     def degrees_social(self) -> np.ndarray:
         return self.C.sum(axis=1)
 
+    # (rows, cols) of the nonzero entries, row-major: a neighbour sum reads
+    # each edge once instead of a dense n x n operator
     @cached_property
-    def _float_adjacency(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.V.astype(float), self.C.astype(float)
+    def edges_geo(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.nonzero(self.V)
+
+    @cached_property
+    def edges_social(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.nonzero(self.C)
 
     def distances_from(self, node: int) -> np.ndarray:
         """BFS hop distances over V; unreachable nodes get +inf."""
@@ -251,24 +257,35 @@ def _validate_coupling(graph: Graph, params: ModelParams) -> None:
 def network_rhs(state: NetworkState, graph: Graph,
                 params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Per-node time derivatives of (activity, tension)."""
-    lam, alpha = state.lam, state.alpha
-    return _rhs_arrays(lam, alpha, graph, params)
+    return _make_rhs(graph, params)(state.lam, state.alpha)
 
 
-def _rhs_arrays(lam, alpha, graph, params):
-    V, C = graph._float_adjacency
-    dV = np.maximum(graph.degrees_geo, 1)
-    dC = np.maximum(graph.degrees_social, 1)
+def _make_rhs(graph: Graph, params: ModelParams):
+    """The RHS as a function of (lam, alpha); what depends only on the graph
+    and the params is computed once here, not per call."""
+    n = graph.n
+    geo_rows, geo_cols = graph.edges_geo
+    social_rows, social_cols = graph.edges_social
+    degrees = graph.degrees_geo
+    geo_weight = params.eta / np.maximum(degrees, 1)
     eta_a = params.eta if params.eta_alpha is None else params.eta_alpha
-    lap = V @ lam - graph.degrees_geo * lam
-    dlam = ((params.eta / dV) * lap
-            - params.omega * (lam - params.lambda_b)
-            + transition_rate_arr(alpha, params)
-            * self_reinforcement_arr(lam, params))
-    dalpha = ((eta_a / dC) * (C @ alpha)
-              - tension_decay_rate_arr(lam, params) * alpha
-              + params.theta * params.alpha_b)
-    return dlam, dalpha
+    social_weight = eta_a / np.maximum(graph.degrees_social, 1)
+    inflow = params.theta * params.alpha_b
+
+    def rhs(lam, alpha):
+        lap = (np.bincount(geo_rows, weights=lam[geo_cols], minlength=n)
+               - degrees * lam)
+        dlam = (geo_weight * lap
+                - params.omega * (lam - params.lambda_b)
+                + transition_rate_arr(alpha, params)
+                * self_reinforcement_arr(lam, params))
+        social = np.bincount(social_rows, weights=alpha[social_cols],
+                             minlength=n)
+        dalpha = (social_weight * social
+                  - tension_decay_rate_arr(lam, params) * alpha
+                  + inflow)
+        return dlam, dalpha
+    return rhs
 
 
 @dataclass(frozen=True)
@@ -332,7 +349,7 @@ def integrate_network(graph: Graph,
         lam = np.full(graph.n, float(lam0))
         alpha = np.full(graph.n, float(alpha0))
 
-    rhs = partial(_rhs_arrays, graph=graph, params=params)
+    rhs = _make_rhs(graph, params)
     if noise == "brownian":
         rng = np.random.default_rng(noise_seed)
         sigma = params.sigma

@@ -255,6 +255,24 @@ class TestSweep:
         assert "window" not in header and "window_length" in header
         assert all(len(line.split()) == len(header) for line in table[1:])
 
+    def test_missing_values_keep_every_column(self, tmp_path):
+        # a shock of 4 opens no activity window by t=20, so window is None
+        # in both rows and the table writes nan in its place
+        cfg = parse_config({"preset": "fig-nullcline",
+                            "numerics": {"t_end": 20.0},
+                            "experiment": {"kind": "window"}})
+        rows = sweep(cfg, "params.omega", [0.4, 0.3], tmp_path / "s")
+        assert [row["window"] for row in rows] == [None, None]
+        lines = (tmp_path / "s" / "sweep.txt").read_text().splitlines()
+        header = lines[0].split()
+        table = [dict(zip(header, line.split(), strict=True))
+                 for line in lines[1:]]
+        assert [float(row["value"]) for row in table] == [0.4, 0.3]
+        assert [row["window"] for row in table] == ["nan", "nan"]
+        assert [float(row["window_length"]) for row in table] == [0.0, 0.0]
+        assert [float(row["max_activity"]) for row in table] == [
+            row["max_activity"] for row in rows]
+
     def test_empty_values_rejected(self, tmp_path):
         cfg = parse_config({"preset": "fig-nullcline"})
         with pytest.raises(ConfigError):
@@ -308,6 +326,17 @@ class TestMain:
         assert main(["run", str(cfg_path), "--output",
                      str(tmp_path / "o")]) == 2
         assert "node id" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stride", [0, -3, 2.5])
+    def test_output_stride_exit_code(self, tmp_path, capsys, stride):
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(yaml.safe_dump(
+            {"model": "site",
+             "numerics": {"t_end": 1, "output_stride": stride}}))
+        out = tmp_path / "o"
+        assert main(["run", str(cfg_path), "--output", str(out)]) == 2
+        assert "numerics.output_stride" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
 
     def test_preset_with_override(self, tmp_path, capsys):
         code = main(["preset", "pde-monostable", "--override",

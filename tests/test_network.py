@@ -1,15 +1,21 @@
 """Network dynamics: graph construction, RHS, integration, spread analyses."""
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riotdyn import (AmplitudeLaw, ExplicitSchedule, Graph, ModelParams,
                      NetworkState, NetworkTrajectory, PoissonSchedule, Shock,
-                     SiteState, activation_times, classify_spread,
-                     delay_experiment, double_threshold_scan, grid_graph,
-                     integrate_network, integrate_site, network_rhs,
-                     save_network_trajectory)
+                     SiteState, activation_times, activity_rate,
+                     classify_spread, delay_experiment, double_threshold_scan,
+                     graph_from_edge_lists, grid_graph, integrate_network,
+                     integrate_site, network_rhs, save_network_trajectory,
+                     tension_rate)
+from riotdyn.model import (self_reinforcement_arr, tension_decay_rate_arr,
+                           transition_rate_arr)
 
 from conftest import BASE, SLOW
 
@@ -92,6 +98,131 @@ class TestNetworkRhs:
         from riotdyn import tension_rate
         expected = [tension_rate(0.0, a, p) for a in alpha]
         np.testing.assert_allclose(dalpha, expected, atol=1e-14)
+
+
+def dense_rhs(lam, alpha, graph, params):
+    """The network RHS with dense float operators built from V and C, as
+    written in the module docstring.  Returns the derivatives and, per
+    node, the summed magnitude of the terms that make them up."""
+    V, C = graph.V.astype(float), graph.C.astype(float)
+    deg_v, deg_c = V.sum(axis=1), C.sum(axis=1)
+    eta_a = params.eta if params.eta_alpha is None else params.eta_alpha
+    geo = params.eta / np.maximum(deg_v, 1) * (V @ lam - deg_v * lam)
+    relax = params.omega * (lam - params.lambda_b)
+    growth = transition_rate_arr(alpha, params) * self_reinforcement_arr(
+        lam, params)
+    social = eta_a / np.maximum(deg_c, 1) * (C @ alpha)
+    decay = tension_decay_rate_arr(lam, params) * alpha
+    inflow = params.theta * params.alpha_b
+    dlam = geo - relax + growth
+    dalpha = social - decay + inflow
+    lam_scale = (params.eta / np.maximum(deg_v, 1) * (V @ lam + deg_v * lam)
+                 + np.abs(relax) + np.abs(growth))
+    alpha_scale = np.abs(social) + np.abs(decay) + abs(inflow)
+    return dlam, dalpha, lam_scale, alpha_scale
+
+
+@st.composite
+def rhs_cases(draw, graphs):
+    graph, params = draw(graphs)
+    values = st.floats(min_value=0.0, max_value=20.0)
+    lam = np.array(draw(st.lists(values, min_size=graph.n,
+                                 max_size=graph.n)))
+    alpha = np.array(draw(st.lists(values, min_size=graph.n,
+                                   max_size=graph.n)))
+    return graph, params, lam, alpha
+
+
+couplings = st.floats(min_value=0.0, max_value=1.0)
+
+
+@st.composite
+def random_graphs(draw):
+    """Random symmetric V and random directed C."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    bits = st.lists(st.booleans(), min_size=n * n, max_size=n * n)
+    upper = np.triu(np.array(draw(bits), dtype=np.int8).reshape(n, n), 1)
+    C = np.array(draw(bits), dtype=np.int8).reshape(n, n)
+    np.fill_diagonal(C, 0)
+    params = replace(BASE, eta=draw(couplings),
+                     eta_alpha=draw(st.none() | couplings))
+    return Graph(n, upper + upper.T, C), params
+
+
+@st.composite
+def hub_graphs(draw):
+    rows = draw(st.integers(min_value=1, max_value=6))
+    cols = draw(st.integers(min_value=2, max_value=6))
+    nodes = st.integers(min_value=0, max_value=rows * cols - 1)
+    h1 = draw(nodes)
+    if draw(st.booleans()):
+        social = ("hub", h1)
+    else:
+        social = ("two_hubs", h1, draw(nodes.filter(lambda h: h != h1)))
+    params = replace(BASE, eta=draw(couplings),
+                     eta_alpha=draw(st.none() | couplings))
+    return grid_graph(rows, cols, social), params
+
+
+@st.composite
+def isolated_node_graphs(draw):
+    """A path with one more node that has no geographic or social edge."""
+    n = draw(st.integers(min_value=3, max_value=10))
+    path = [(i, i + 1) for i in range(n - 2)]
+    return (graph_from_edge_lists(n, path, path),
+            replace(BASE, eta=0.0, eta_alpha=0.0))
+
+
+class TestEdgeListRhs:
+    """``network_rhs`` sums over cached edge lists; the reference multiplies
+    by dense float copies of V and C.  The two add the same products in a
+    different order, so they agree to 1e-12 of the summed magnitude of each
+    derivative's terms."""
+
+    @staticmethod
+    def check(case):
+        graph, params, lam, alpha = case
+        dlam, dalpha = network_rhs(NetworkState(lam, alpha), graph, params)
+        ref_lam, ref_alpha, lam_scale, alpha_scale = dense_rhs(
+            lam, alpha, graph, params)
+        assert np.all(np.abs(dlam - ref_lam) <= 1e-12 * lam_scale)
+        assert np.all(np.abs(dalpha - ref_alpha) <= 1e-12 * alpha_scale)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rhs_cases(random_graphs()))
+    def test_random_directed_social_graph(self, case):
+        self.check(case)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rhs_cases(hub_graphs()))
+    def test_hub_and_two_hubs(self, case):
+        self.check(case)
+
+    @settings(max_examples=30, deadline=None)
+    @given(rhs_cases(isolated_node_graphs()))
+    def test_isolated_node_without_coupling(self, case):
+        self.check(case)
+        graph, params, lam, alpha = case
+        dlam, dalpha = network_rhs(NetworkState(lam, alpha), graph, params)
+        last = graph.n - 1
+        assert dlam[last] == pytest.approx(
+            activity_rate(lam[last], alpha[last], params), rel=1e-12,
+            abs=1e-12)
+        assert dalpha[last] == pytest.approx(
+            tension_rate(lam[last], alpha[last], params), rel=1e-12,
+            abs=1e-12)
+
+    def test_first_call_allocates_no_dense_operator(self):
+        # dense float copies of V and C on 900 nodes would be 13 MB
+        g = grid_graph(30, 30, ("hub", 465))
+        state = NetworkState(np.full(900, 0.5), np.full(900, 1.5))
+        tracemalloc.start()
+        try:
+            network_rhs(state, g, replace(BASE, eta=0.2, eta_alpha=0.13))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestIntegrateNetwork:
