@@ -5,7 +5,8 @@ and social coupling (deterministic and stochastic), and continuum
 reaction-diffusion systems (local and nonlocal), plus the phase-plane,
 mass-decay, and traveling-front analyses built on them.
 """
-from .errors import BlowUpError, ConfigError, SimulationError
+from .errors import (BlowUpError, ConfigError, NoExcitedStateError,
+                     SimulationError)
 from .model import (ExcitabilityReport, FixedPoint, ModelParams, SiteState,
                     activity_nullcline, activity_rate, check_excitability,
                     fixed_points, peak_activity, self_reinforcement,

@@ -35,6 +35,7 @@ from functools import partial
 import numpy as np
 
 from ._core import drive_arrays, group_events, rk4, write_table
+from .errors import NoExcitedStateError
 from .model import (ModelParams, growth_slope_at_zero, peak_activity,
                     self_reinforcement, self_reinforcement_arr,
                     tension_decay_rate, tension_decay_rate_arr,
@@ -565,8 +566,8 @@ def track_front(traj: FieldTrajectory,
     if threshold is None:
         lam_star = peak_activity(traj.pde_params.model)
         if lam_star is None:
-            raise ValueError("parameters admit no excited state; pass an "
-                             "explicit threshold")
+            raise NoExcitedStateError("parameters admit no excited state; "
+                                      "pass an explicit threshold")
         threshold = FRONT_THRESHOLD_FRACTION * lam_star
 
     x = traj.grid.centers()

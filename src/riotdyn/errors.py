@@ -5,6 +5,8 @@ from __future__ import annotations
 class SimulationError(Exception):
     """Base class for runtime failures inside an integrator or analysis."""
 
+    time: float | None = None   # model time of the failure, None if unknown
+
 
 class BlowUpError(SimulationError):
     """A state component became non-finite during integration.
@@ -15,6 +17,10 @@ class BlowUpError(SimulationError):
     def __init__(self, time: float, message: str = ""):
         self.time = time
         super().__init__(message or f"state became non-finite at t={time:.6g}")
+
+
+class NoExcitedStateError(SimulationError, ValueError):
+    """No excited state: an analysis relative to peak activity cannot run."""
 
 
 class ConfigError(ValueError):

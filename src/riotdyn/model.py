@@ -26,6 +26,8 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import NoExcitedStateError
+
 __all__ = [
     "ModelParams",
     "SiteState",
@@ -41,6 +43,7 @@ __all__ = [
     "tension_decay_rate_arr",
     "growth_slope_at_zero",
     "peak_activity",
+    "required_peak_activity",
     "tension_threshold",
     "activity_nullcline",
     "tension_nullcline",
@@ -275,6 +278,14 @@ def peak_activity(params: ModelParams) -> float | None:
     if not roots:
         return None
     return max(roots)
+
+
+def required_peak_activity(params: ModelParams) -> float:
+    """:func:`peak_activity`, or NoExcitedStateError where there is none."""
+    lam_star = peak_activity(params)
+    if lam_star is None:
+        raise NoExcitedStateError("parameters admit no excited state")
+    return lam_star
 
 
 def tension_threshold(params: ModelParams) -> float:

@@ -29,9 +29,9 @@ from functools import cached_property, partial
 import numpy as np
 
 from ._core import drive_arrays, group_events, rk4, write_table
-from .model import (ModelParams, peak_activity, self_reinforcement_arr,
-                    tension_decay_rate, tension_decay_rate_arr,
-                    transition_rate_arr)
+from .model import (ModelParams, peak_activity, required_peak_activity,
+                    self_reinforcement_arr, tension_decay_rate,
+                    tension_decay_rate_arr, transition_rate_arr)
 from .shocks import (ExplicitSchedule, Shock, ShockSchedule, apply_shock,
                      check_node_site)
 
@@ -380,10 +380,7 @@ def activation_times(traj: NetworkTrajectory,
     +inf for nodes that never do."""
     if not 0.0 < threshold_fraction < 1.0:
         raise ValueError("threshold_fraction must be in (0, 1)")
-    lam_star = peak_activity(traj.params)
-    if lam_star is None:
-        raise ValueError("parameters admit no excited state")
-    thr = threshold_fraction * lam_star
+    thr = threshold_fraction * required_peak_activity(traj.params)
     hit = traj.lam >= thr
     out = np.full(traj.graph.n, np.inf)
     any_hit = hit.any(axis=0)

@@ -25,6 +25,7 @@ __all__ = [
     "PoissonSchedule",
     "ShockSchedule",
     "realize",
+    "event_count",
     "apply_shock",
     "check_node_site",
 ]
@@ -143,9 +144,8 @@ def realize(schedule: ShockSchedule, horizon: float,
     if isinstance(schedule, ExplicitSchedule):
         return [s for s in schedule.shocks if 0.0 <= s.time <= horizon]
     if isinstance(schedule, PeriodicSchedule):
-        count = int(math.floor(horizon / schedule.period)) + 1
         return [Shock(i * schedule.period, schedule.amplitude, schedule.site)
-                for i in range(count)]
+                for i in range(event_count(schedule, horizon))]
     if isinstance(schedule, PoissonSchedule):
         rng = np.random.default_rng(schedule.seed if seed is None else seed)
         scale = 1.0 / schedule.rate
@@ -157,6 +157,13 @@ def realize(schedule: ShockSchedule, horizon: float,
             t += float(rng.exponential(scale))
         return out
     raise TypeError(f"unknown schedule type {type(schedule).__name__}")
+
+
+def event_count(schedule: ShockSchedule, horizon: float, seed=None) -> int:
+    """``len(realize(...))``, without building a periodic schedule's shocks."""
+    if isinstance(schedule, PeriodicSchedule):
+        return int(math.floor(horizon / schedule.period)) + 1
+    return len(realize(schedule, horizon, seed))
 
 
 def check_node_site(site, n: int) -> None:

@@ -22,8 +22,8 @@ import numpy as np
 from ._core import NEGATIVITY_CLAMP, drive, group_events, write_table
 from .errors import BlowUpError
 from .model import (ModelParams, SiteState, activity_rate, fixed_points,
-                    peak_activity, tension_nullcline, tension_rate)
-from .shocks import ShockSchedule, realize
+                    required_peak_activity, tension_nullcline, tension_rate)
+from .shocks import ShockSchedule, event_count
 
 __all__ = [
     "Trajectory",
@@ -213,9 +213,7 @@ def max_activity_window(traj: Trajectory,
 
     Returns (t0, t1), or ``None`` when the level is never reached.
     """
-    lam_star = peak_activity(traj.params)
-    if lam_star is None:
-        raise ValueError("parameters admit no excited state")
+    lam_star = required_peak_activity(traj.params)
     mask = traj.lam >= lam_star - delta
     if not mask.any():
         return None
@@ -271,14 +269,12 @@ def classify_forced_regime(params: ModelParams,
     if not isinstance(schedule, (PeriodicSchedule, PoissonSchedule)):
         raise ValueError("forced-regime classification needs a periodic or "
                          "poisson schedule")
-    n_events = len(realize(schedule, horizon, seed))
+    n_events = event_count(schedule, horizon, seed)
     if n_events < MIN_FORCING_EVENTS:
         raise ValueError(
             f"horizon {horizon} covers only {n_events} events; "
             f"need >= {MIN_FORCING_EVENTS}")
-    lam_star = peak_activity(params)
-    if lam_star is None:
-        raise ValueError("parameters admit no excited state")
+    lam_star = required_peak_activity(params)
     traj = integrate_site(params, schedule, initial, horizon, dt=dt,
                           seed=seed, record_stride=record_stride)
     tail = traj.times >= horizon * TRANSIENT_FRACTION

@@ -5,9 +5,16 @@ from __future__ import annotations
 import warnings
 
 import pytest
+from hypothesis import settings
 
 from riotdyn import (ExplicitSchedule, ModelParams, Shock, SiteState,
                      integrate_site)
+
+# every property test draws the same examples on every run; tests that set
+# their own max_examples keep it
+settings.register_profile("riotdyn", derandomize=True, deadline=None,
+                          database=None, max_examples=50)
+settings.load_profile("riotdyn")
 
 # the single-site analysis set: omega=0.4, theta=0.7, p=0.7, beta=3, a=1, z0=2
 BASE = ModelParams()

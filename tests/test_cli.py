@@ -1,13 +1,22 @@
 """Config parsing, presets, run orchestration, sweeps, and the CLI."""
+import hashlib
 import json
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from riotdyn import ConfigError
-from riotdyn.cli import (PRESETS, RunConfig, analyze, emit_config, main,
-                         parse_config, run, sweep)
+from riotdyn import ConfigError, NoExcitedStateError, SimulationError
+from riotdyn.cli import (CONFIG, EXPERIMENTS, PRESETS, REQUIRED, RunConfig,
+                         analyze, emit_config, main, parse_config, run,
+                         sweep)
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 NONLOCAL_CONFIG = {
     "model": "pde_nonlocal",
@@ -100,6 +109,118 @@ class TestParseConfig:
         cfg = parse_config({"preset": "fig-periodic"})
         sched = cfg.schedule()
         assert sched.amplitude == 2.0 and sched.period == 2.0
+
+    # sha256 prefixes of emit_config for every preset: they pin each
+    # resolved config byte for byte, so an int that turns into a float or
+    # a default that moves shows here
+    PRESET_HASHES = {
+        "fig-delay": "4788b71b16ed1b53", "fig-double": "aaf8f41c488a4c60",
+        "fig-fast": "fec2fa86c25dca8d", "fig-nullcline": "866ffb27c567b2da",
+        "fig-periodic": "eb912de4b3ac41ca", "fig-slow": "d53260979ccdad7c",
+        "net-delay": "0308fa082c0eda33",
+        "net-double-threshold": "98f8d9ef7d3423d4",
+        "pde-bistable": "d3ecbbb606cfc072", "pde-bump": "16c949d455275a0f",
+        "pde-monostable": "5f3b042ee1aee35a",
+        "pde-wavefront": "6382114a2b7e41a1",
+    }
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_resolved_preset_bytes_pinned(self, name):
+        text = emit_config(parse_config({"preset": name}))
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest[:16] == self.PRESET_HASHES[name]
+
+    def test_readme_config_block_shows_the_defaults(self):
+        block = re.search(r"### Configuration.*?```yaml\n(.*?)```",
+                          README.read_text(), re.S).group(1)
+        shown = yaml.safe_load(block)
+        defaults = parse_config({}).resolved
+
+        def leaves(tree, path=()):
+            for key, value in tree.items():
+                if isinstance(value, dict):
+                    yield from leaves(value, path + (key,))
+                else:
+                    yield path + (key,), value
+
+        checked = 0
+        for path, value in leaves(shown):
+            expected = defaults
+            for key in path:
+                expected = expected[key]
+            assert value == expected and type(value) is type(expected), path
+            checked += 1
+        assert checked >= 50
+
+
+# the probes of mistyped configs: each must exit 2 naming its dotted key
+SITE_RUN = {"model": "site", "numerics": {"t_end": 1.0}}
+NET_RUN = {"model": "network", "network": {"rows": 3, "cols": 3},
+           "numerics": {"t_end": 1.0, "dt": 0.01}}
+NONLOCAL_RUN = {"model": "pde_nonlocal", "params": {"eta": 0.01},
+                "grid": {"length": 16.0, "cells": 32},
+                "numerics": {"dt": 0.02, "t_end": 0.2}}
+SHOCK_AT_4 = {"kind": "explicit",
+              "shocks": [{"time": 0.0, "amplitude": 3.0, "site": 4}]}
+PROBES = [
+    ("numerics.dt", SITE_RUN, {"numerics": {"dt": "abc"}}),
+    ("numerics.t_end", SITE_RUN, {"numerics": {"t_end": [1]}}),
+    ("numerics.seed", SITE_RUN, {"numerics": {"seed": "s"}}),
+    ("numerics.seed", SITE_RUN, {"numerics": {"seed": 1.7}}),
+    ("numerics.dt", SITE_RUN, {"numerics": {"dt": True}}),
+    ("network.rows", NET_RUN, {"network": {"rows": "x"}}),
+    ("network.rows", NET_RUN, {"network": {"rows": 2.5}}),
+    ("network.social", NET_RUN, {"network": {"social": "bogus"}}),
+    ("network.hub", NET_RUN, {"network": {"social": "hub", "hub": 500}}),
+    ("network.hubs", NET_RUN,
+     {"network": {"social": "two_hubs", "hubs": [1]}}),
+    ("schedule.shocks[0].time", SITE_RUN,
+     {"schedule": {"kind": "explicit", "shocks": [{"amplitude": 1.0}]}}),
+    ("experiment.amplitudes", NET_RUN,
+     {"experiment": {"kind": "double_threshold", "seed_node": 4,
+                     "amplitudes": "abc"}}),
+    ("experiment.threshold_fraction", NET_RUN,
+     {"schedule": SHOCK_AT_4, "experiment": {
+         "kind": "spread", "seed_node": 4, "threshold_fraction": "x"}}),
+    ("experiment.eps", SITE_RUN,
+     {"experiment": {"kind": "relaxation", "eps": "x"}}),
+    ("experiment.alpha_b_grid.count", SITE_RUN,
+     {"experiment": {"kind": "hysteresis", "alpha_b_grid": {"count": "x"}}}),
+    ("experiment.seed_node", NET_RUN,
+     {"schedule": SHOCK_AT_4,
+      "experiment": {"kind": "spread", "seed_node": 500}}),
+    ("experiment.seed_node", NET_RUN,
+     {"experiment": {"kind": "double_threshold", "seed_node": 500}}),
+    ("experiment.p_node", NET_RUN,
+     {"experiment": {"kind": "delay", "p_node": 500, "m_node": 2}}),
+    ("initial.lambda0", SITE_RUN, {"initial": {"lambda0": "x"}}),
+    ("grid.cells", {"model": "pde_local", "numerics": {"dt": 0.01,
+                                                        "t_end": 0.1}},
+     {"grid": {"length": 20.0, "cells": 40.5}}),
+    ("pde.nonlocal.kernel.kind", NONLOCAL_RUN,
+     {"pde": {"nonlocal": {"kernel": {"kind": "bogus"}}}}),
+    ("pde.nonlocal.normalize", NONLOCAL_RUN,
+     {"pde": {"nonlocal": {"normalize": "no"}}}),
+    ("experiment.kind", SITE_RUN, {"experiment": {"kind": "front"}}),
+]
+
+
+@pytest.mark.parametrize("key,base,change", PROBES,
+                         ids=[f"{i:02d}-{k}" for i, (k, _, _)
+                              in enumerate(PROBES)])
+def test_mistyped_config_exits_2_naming_its_key(tmp_path, capsys, key, base,
+                                                change):
+    data = json.loads(json.dumps(base))
+    for section, values in change.items():
+        data.setdefault(section, {}).update(values)
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump(data))
+    out = tmp_path / "o"
+    assert main(["run", str(cfg_path), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 class TestRun:
@@ -273,6 +394,28 @@ class TestSweep:
         assert [float(row["max_activity"]) for row in table] == [
             row["max_activity"] for row in rows]
 
+    def test_failed_rows_keep_every_column(self, tmp_path):
+        # at t_end=100 periods 5 and 20 give too few forcing events; their
+        # error message stays whole in sweep.json and out of sweep.txt
+        cfg = parse_config({"preset": "fig-periodic",
+                            "numerics": {"t_end": 100.0}})
+        rows = sweep(cfg, "schedule.period", [2.0, 5.0, 20.0],
+                     tmp_path / "s")
+        assert [row["status"] for row in rows] == ["ok", "failed", "failed"]
+        lines = (tmp_path / "s" / "sweep.txt").read_text().splitlines()
+        header = lines[0].split()
+        table = [dict(zip(header, line.split(), strict=True))
+                 for line in lines[1:]]
+        assert "error" not in header
+        assert [float(row["value"]) for row in table] == [2.0, 5.0, 20.0]
+        assert [row["status"] for row in table] == ["ok", "failed", "failed"]
+        assert table[1]["regime"] == "nan"
+        saved = json.loads((tmp_path / "s" / "sweep.json").read_text())
+        for row in saved[1:]:
+            assert row["error"] == ("experiment forced_regime needs a "
+                                    "periodic or poisson schedule with at "
+                                    "least 50 events up to numerics.t_end")
+
     def test_empty_values_rejected(self, tmp_path):
         cfg = parse_config({"preset": "fig-nullcline"})
         with pytest.raises(ConfigError):
@@ -338,6 +481,61 @@ class TestMain:
         assert "numerics.output_stride" in capsys.readouterr().err
         assert not (out / "summary.json").exists()
 
+    @pytest.mark.parametrize("config", [
+        {"model": "site", "numerics": {"t_end": 1.0}},
+        {"model": "pde_local", "grid": {"length": 20.0, "cells": 40},
+         "numerics": {"dt": 0.01, "t_end": 0.1}},
+        {"model": "network", "network": {"rows": 3, "cols": 3},
+         "numerics": {"t_end": 1.0},
+         "experiment": {"kind": "delay", "p_node": 0, "m_node": 8}},
+    ])
+    def test_brownian_noise_needs_a_network_run(self, tmp_path, capsys,
+                                                config):
+        # the other integrators have no noise term: brownian ran silently
+        # without noise
+        config["numerics"]["noise"] = "brownian"
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(yaml.safe_dump(config))
+        assert main(["run", str(cfg_path), "--output",
+                     str(tmp_path / "o")]) == 2
+        assert "numerics.noise" in capsys.readouterr().err
+
+    def test_no_excited_state_aborts_cleanly(self, tmp_path, capsys):
+        # omega above G'(0) = z0: no peak activity to measure a window by
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(yaml.safe_dump(
+            {"model": "site", "params": {"omega": 3.0},
+             "numerics": {"t_end": 1.0}, "experiment": {"kind": "window"}}))
+        out = tmp_path / "o"
+        assert main(["run", str(cfg_path), "--output", str(out)]) == 3
+        assert "no excited state" in capsys.readouterr().err
+        abort = json.loads((out / "abort.json").read_text())
+        assert abort["status"] == "aborted" and abort["time"] is None
+        assert issubclass(NoExcitedStateError, SimulationError)
+        assert issubclass(NoExcitedStateError, ValueError)
+
+    @pytest.mark.parametrize("text,extra,message", [
+        # --seed used to replace the section by {seed: 3} and run defaults
+        ("model: site\nnumerics: 5\n", ["--seed", "3"], "numerics.seed"),
+        ("- 1\n", [], "config must be a mapping"),
+        ("numerics: {t_end: 1.0}\n", ["--seed", "3"], None),
+    ])
+    def test_command_line_edits_need_a_mapping(self, tmp_path, capsys, text,
+                                               extra, message):
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(text)
+        out = tmp_path / "o"
+        code = main(["run", str(cfg_path), "--output", str(out), *extra])
+        if message is None:
+            assert code == 0
+        else:
+            assert code == 2 and message in capsys.readouterr().err
+
+    def test_override_yaml_error_exits_2(self, tmp_path, capsys):
+        assert main(["preset", "fig-slow", "--override", "params.a=[",
+                     "--output", str(tmp_path / "o")]) == 2
+        assert "config parse error" in capsys.readouterr().err
+
     def test_preset_with_override(self, tmp_path, capsys):
         code = main(["preset", "pde-monostable", "--override",
                      "params.a=5.0", "--output", str(tmp_path / "o")])
@@ -359,3 +557,123 @@ class TestMain:
         code = main(["preset", "pde-monostable"])
         assert code == 0
         assert (tmp_path / "riotdyn-out" / "summary.json").exists()
+
+
+# ----------------------------------------------------------------------
+# property: a config that parses completes (exit 0) or aborts (exit 3)
+# ----------------------------------------------------------------------
+
+NODE_KEYS = ("network.hub", "experiment.seed_node", "experiment.p_node",
+             "experiment.m_node")
+# sizes that keep one run short, by dotted key; every other leaf is drawn
+# from its type in CONFIG
+SIZES = {
+    "numerics.t_end": st.floats(1e-3, 1.0),
+    "numerics.dt": st.floats(-3.0, -0.5).map(lambda e: 10.0 ** e),
+    "numerics.output_stride": st.integers(1, 50),
+    "network.rows": st.integers(1, 5),
+    "network.cols": st.integers(1, 5),
+    "grid.cells": st.integers(8, 64) | st.lists(st.just(8), min_size=1,
+                                                max_size=2),
+    "grid.lengths": st.none() | st.lists(st.sampled_from([4.0, 8.0]),
+                                         min_size=1, max_size=2),
+    # at most about 200 events per unit time
+    "schedule.period": st.floats(-2.3, 1.0).map(lambda e: 10.0 ** e),
+    "schedule.rate": st.floats(-1.0, 2.3).map(lambda e: 10.0 ** e),
+    "experiment.alpha_b_grid.count": st.integers(-1, 12),
+    # node ids: one below the grid, and nodes that most grids have
+    **{key: st.integers(-1, 5) for key in NODE_KEYS},
+    "network.hubs": st.lists(st.integers(-1, 5), min_size=2, max_size=2),
+    "experiment.amplitudes": st.lists(st.floats(1e-3, 20.0), min_size=1,
+                                      max_size=3),
+}
+# drawn in every example: the sizes that defaults would make large, node
+# ids, whose defaults lie outside a 5x5 grid, and the schedule and
+# experiment kinds
+ALWAYS = {"experiment.kind", "schedule.kind", "numerics.t_end",
+          "numerics.dt", "grid.cells", "network.rows", "network.cols",
+          "network.hubs", *NODE_KEYS}
+# the run writes where the test says, a preset is a run of its own, and
+# each test case sets the model
+NOT_DRAWN = {"preset", "output_dir", "model"}
+
+
+def leaf_values(leaf, key):
+    """A strategy for the values of one CONFIG leaf, valid or not by the
+    model's own checks; numbers without a range are drawn from [-10, 10],
+    mostly nonnegative."""
+    if key in SIZES:
+        return SIZES[key]
+    if leaf.kind == "record":
+        item = config_values(leaf.options, key)
+    elif leaf.kind == "choice":
+        item = st.sampled_from(leaf.options)
+    elif leaf.kind == "bool":
+        item = st.booleans()
+    elif leaf.kind == "int":
+        lo = -2 if leaf.lo is None else int(leaf.lo)
+        item = st.integers(lo, lo + 30)
+    else:
+        lo, hi = leaf.lo, leaf.hi
+        item = (st.floats(lo, lo + 10.0 if hi is None else hi,
+                          exclude_min=leaf.open, exclude_max=leaf.open)
+                if lo is not None else
+                st.floats(0.0, 10.0) | st.floats(-10.0, 10.0))
+        if leaf.kind == "number":
+            item = item | st.integers(-2, 30)
+    if leaf.size is not None:
+        items = st.lists(item, min_size=leaf.size[0],
+                         max_size=leaf.size[1] or 3)
+        item = item | items if leaf.scalar else items
+    return st.none() | item if leaf.optional else item
+
+
+def config_values(table, path=""):
+    """A strategy for mappings over ``table``: required leaves and those
+    under ALWAYS in every example, the rest sometimes, so the defaults are
+    exercised too."""
+    keys = {key: (f"{path}.{key}" if path else key, spec)
+            for key, spec in table.items()}
+    drawn = {key: config_values(spec, dotted) if isinstance(spec, dict)
+             else leaf_values(spec, dotted)
+             for key, (dotted, spec) in keys.items()
+             if dotted not in NOT_DRAWN}
+    required = {key: s for key, s in drawn.items()
+                if any(k == keys[key][0] or k.startswith(keys[key][0] + ".")
+                       for k in ALWAYS)
+                or not isinstance(table[key], dict)
+                and table[key].default is REQUIRED}
+    return st.fixed_dictionaries(
+        required, optional={k: s for k, s in drawn.items()
+                            if k not in required})
+
+
+def run_configs(model, kind):
+    """Configs drawn from CONFIG for one model and experiment kind; a kind
+    of another model only exits 2, as the probes show."""
+    return config_values(CONFIG).map(lambda data: {
+        **data, "model": model, "experiment": {**data["experiment"],
+                                               "kind": kind}})
+
+
+class TestParsedConfigsRun:
+    @pytest.mark.parametrize("model,kind", [
+        (model, kind) for model, kinds in EXPERIMENTS.items()
+        for kind in kinds])
+    @settings(max_examples=25,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.data_too_large])
+    @given(data=st.data())
+    def test_parsed_config_completes_or_aborts(self, model, kind, data):
+        data = data.draw(run_configs(model, kind))
+        try:
+            parse_config(data)
+        except ConfigError:
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg_path, out = Path(tmp) / "cfg.yaml", Path(tmp) / "o"
+            cfg_path.write_text(yaml.safe_dump(data))
+            code = main(["run", str(cfg_path), "--output", str(out)])
+            assert code in (0, 3)
+            assert (out / "abort.json").exists() == (code == 3)
+            assert (out / "summary.json").exists()

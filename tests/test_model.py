@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from riotdyn import (ModelParams, SiteState, activity_nullcline,
@@ -250,6 +250,3 @@ class TestParamsValidation:
         p = ModelParams(p=-0.5)
         assert tension_decay_rate(1.0, p) > p.theta
 
-
-settings.register_profile("fast", max_examples=50, deadline=None)
-settings.load_profile("fast")
