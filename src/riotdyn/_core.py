@@ -93,27 +93,29 @@ def drive(step, jump, state, events, t_end: float, dt: float, stride: int):
 
 
 def drive_arrays(move, jump, state, events, t_end: float, dt: float,
-                 stride: int):
+                 stride: int, rows: int = 1):
     """:func:`drive` for a pair of arrays advanced by ``move(lam, alpha, h)``.
 
     After each move negative entries are clamped to zero, and a non-finite
     entry raises BlowUpError.  Returns drive's four arrays and the number of
-    entries clamped from below -NEGATIVITY_CLAMP.
+    entries clamped from below -NEGATIVITY_CLAMP, a list with one int per
+    row of the arrays split into ``rows`` rows.
     """
-    clamps = 0
+    clamps = np.zeros(rows, dtype=int)
 
     def step(state, t, h):
-        nonlocal clamps
         lam, alpha = move(state[0], state[1], h)
-        clamps += int((lam < -NEGATIVITY_CLAMP).sum()
-                      + (alpha < -NEGATIVITY_CLAMP).sum())
+        clamps[:] += (
+            (lam < -NEGATIVITY_CLAMP).reshape(rows, -1).sum(axis=1)
+            + (alpha < -NEGATIVITY_CLAMP).reshape(rows, -1).sum(axis=1))
         np.maximum(lam, 0.0, out=lam)
         np.maximum(alpha, 0.0, out=alpha)
         if not (np.isfinite(lam).all() and np.isfinite(alpha).all()):
             raise BlowUpError(t)
         return lam, alpha
 
-    return drive(step, jump, state, events, t_end, dt, stride) + (clamps,)
+    records = drive(step, jump, state, events, t_end, dt, stride)
+    return records + (clamps.tolist(),)
 
 
 def write_table(path, header, formats, columns) -> None:

@@ -915,7 +915,11 @@ def main(argv=None) -> int:
                                       "key=value")
                 _set_by_path(data, key, _load_yaml(raw))
         else:
-            data = _load_yaml(args.config.read_text()) or {}
+            try:
+                data = _load_yaml(args.config.read_text()) or {}
+            except (OSError, UnicodeDecodeError) as exc:
+                raise ConfigError(f"cannot read {args.config}: "
+                                  f"{getattr(exc, 'strerror', exc)}")
         if args.seed is not None:
             _set_by_path(data, "numerics.seed", args.seed)
         if args.command == "sweep":

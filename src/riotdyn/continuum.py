@@ -382,7 +382,7 @@ def integrate_pde(pp: PdeParams, grid: SpatialGrid,
         events, t_end, dt, record_stride)
     return FieldTrajectory(*records,
                            tuple(s for _, group in events for s in group),
-                           grid, pp, clamps)
+                           grid, pp, clamps[0])
 
 
 @dataclass(frozen=True)

@@ -32,8 +32,7 @@ from ._core import drive_arrays, group_events, rk4, write_table
 from .model import (ModelParams, peak_activity, required_peak_activity,
                     self_reinforcement_arr, tension_decay_rate,
                     tension_decay_rate_arr, transition_rate_arr)
-from .shocks import (ExplicitSchedule, Shock, ShockSchedule, apply_shock,
-                     check_node_site)
+from .shocks import ExplicitSchedule, Shock, ShockSchedule, check_node_site
 
 __all__ = [
     "Graph",
@@ -240,7 +239,7 @@ def _validate_coupling(graph: Graph, params: ModelParams) -> None:
         warnings.warn(
             f"activity coupling eta={params.eta:.4g} is not dominated by the "
             f"decay omega={params.omega:.4g}; activity need not decay",
-            stacklevel=3)
+            stacklevel=4)
     if params.eta > 0.0 and (graph.degrees_geo < 1).any():
         bad = np.nonzero(graph.degrees_geo < 1)[0]
         raise ValueError(
@@ -260,16 +259,24 @@ def network_rhs(state: NetworkState, graph: Graph,
     return _make_rhs(graph, params)(state.lam, state.alpha)
 
 
-def _make_rhs(graph: Graph, params: ModelParams):
+def _make_rhs(graph: Graph, params: ModelParams, members: int = 1):
     """The RHS as a function of (lam, alpha); what depends only on the graph
-    and the params is computed once here, not per call."""
-    n = graph.n
-    geo_rows, geo_cols = graph.edges_geo
-    social_rows, social_cols = graph.edges_social
-    degrees = graph.degrees_geo
+    and the params is computed once here, not per call.
+
+    The states may hold ``members`` states end to end, shape (members*n,).
+    Member b's edges are offset by b*n, so one bincount per coupling serves
+    every member and sums each bin in the order of a one-member call.
+    """
+    n = members * graph.n
+    offsets = graph.n * np.arange(members)[:, None]
+    geo_rows, geo_cols = ((e + offsets).ravel() for e in graph.edges_geo)
+    social_rows, social_cols = ((e + offsets).ravel()
+                                for e in graph.edges_social)
+    degrees = np.tile(graph.degrees_geo, members)
     geo_weight = params.eta / np.maximum(degrees, 1)
     eta_a = params.eta if params.eta_alpha is None else params.eta_alpha
-    social_weight = eta_a / np.maximum(graph.degrees_social, 1)
+    social_weight = eta_a / np.tile(np.maximum(graph.degrees_social, 1),
+                                    members)
     inflow = params.theta * params.alpha_b
 
     def rhs(lam, alpha):
@@ -321,6 +328,23 @@ def integrate_network(graph: Graph,
     pair of scalars broadcast to all nodes.  A shock whose site is not a
     node id raises ValueError before the first step.
     """
+    return _integrate_members(graph, params, [schedule], initial, t_end, dt,
+                              noise, noise_seed, seed, record_stride)[0]
+
+
+def _integrate_members(graph: Graph, params: ModelParams, schedules,
+                       initial=(0.0, 0.0), t_end: float = 50.0,
+                       dt: float = 1e-3, noise: str = "none",
+                       noise_seed: int = 0, seed: int | None = None,
+                       record_stride: int = 1) -> list[NetworkTrajectory]:
+    """:func:`integrate_network` for several schedules on one graph at once:
+    one trajectory per schedule, the B members' states laid end to end.
+
+    All members' shocks must fall on the same times (else ValueError), so
+    each member takes the steps of its own run and returns that run's
+    trajectory bit for bit.  Clamps are counted per member; a non-finite
+    entry in any member raises BlowUpError.  Noisy runs take one member.
+    """
     if dt <= 0.0 or t_end <= 0.0:
         raise ValueError("dt and t_end must be > 0")
     if noise not in ("none", "brownian"):
@@ -334,22 +358,22 @@ def integrate_network(graph: Graph,
             "tension decay at peak activity does not dominate the social "
             f"inflow (h(peak)={tension_decay_rate(lam_star, params):.4g} <= "
             f"eta_alpha={eta_a:.4g}); tension mass can grow on long runs",
-            stacklevel=2)
+            stacklevel=3)
 
-    events = group_events(schedule, t_end, seed)
-    for _, shocks in events:
-        for s in shocks:
-            check_node_site(s.site, graph.n)
+    per_member = [group_events(s, t_end, seed) for s in schedules]
+    if len({tuple(t for t, _ in member) for member in per_member}) > 1:
+        raise ValueError("the members' shocks must fall on the same times")
+    # one event per shared time, holding each member's shocks
+    events = [(group[0][0], [shocks for _, shocks in group])
+              for group in zip(*per_member)]
+    for s in (s for _, groups in events for g in groups for s in g):
+        check_node_site(s.site, graph.n)
 
-    if isinstance(initial, NetworkState):
-        lam = initial.lam.astype(float)
-        alpha = initial.alpha.astype(float)
-    else:
-        lam0, alpha0 = initial
-        lam = np.full(graph.n, float(lam0))
-        alpha = np.full(graph.n, float(alpha0))
-
-    rhs = _make_rhs(graph, params)
+    members = len(schedules)
+    lam, alpha = (np.tile(np.full(graph.n, x, dtype=float), members)
+                  for x in ((initial.lam, initial.alpha)
+                            if isinstance(initial, NetworkState) else initial))
+    rhs = _make_rhs(graph, params, members)
     if noise == "brownian":
         rng = np.random.default_rng(noise_seed)
         sigma = params.sigma
@@ -362,15 +386,18 @@ def integrate_network(graph: Graph,
     else:
         move = partial(rk4, rhs)
 
-    def jump(state, shocks):
-        alpha = state[1]
-        for s in shocks:
-            alpha = apply_shock(alpha, s)
+    def jump(state, groups):
+        alpha = state[1].copy()
+        for row, shocks in zip(alpha.reshape(members, -1), groups):
+            for s in shocks:
+                row[s.site] += s.amplitude
         return state[0], alpha
 
-    *records, clamps = drive_arrays(move, jump, (lam, alpha), events, t_end,
-                                    dt, record_stride)
-    return NetworkTrajectory(*records, params, graph, clamps)
+    times, lams, alphas, marks, clamps = drive_arrays(
+        move, jump, (lam, alpha), events, t_end, dt, record_stride, members)
+    lams, alphas = (x.reshape(len(times), members, -1) for x in (lams, alphas))
+    return [NetworkTrajectory(times, lams[:, b], alphas[:, b], marks, params,
+                              graph, clamps[b]) for b in range(members)]
 
 
 def activation_times(traj: NetworkTrajectory,
@@ -510,45 +537,51 @@ def double_threshold_scan(graph: Graph, params: ModelParams, A_grid,
     """Classify the spread for each amplitude and bracket the two thresholds.
 
     Grid brackets are narrowed by ``refine_rounds`` rounds of bisection
-    (each round one extra run).  Classification-order violations along the
-    grid are reported, not asserted.
+    (one batched run per round, one member per open bracket).
+    Classification-order violations along the grid are reported, not
+    asserted.
     """
     A_grid = [float(a) for a in A_grid]
     if any(b <= a for a, b in zip(A_grid, A_grid[1:])):
         raise ValueError("A_grid must be strictly increasing")
 
-    def classify(amplitude: float) -> str:
-        schedule = ExplicitSchedule([Shock(0.0, amplitude, seed_node)])
-        traj = integrate_network(graph, params, schedule, initial, t_end,
-                                 dt=dt, record_stride=record_stride)
-        return classify_spread(traj, graph, seed_node,
-                               threshold_fraction).regime
+    def classify(amplitudes: list[float]) -> list[str]:
+        # one member per amplitude; all shocks fall at t=0
+        if not amplitudes:
+            return []
+        trajs = _integrate_members(
+            graph, params,
+            [ExplicitSchedule([Shock(0.0, a, seed_node)]) for a in amplitudes],
+            initial, t_end, dt=dt, record_stride=record_stride)
+        return [classify_spread(traj, graph, seed_node,
+                                threshold_fraction).regime for traj in trajs]
 
-    regimes = [classify(a) for a in A_grid]
+    regimes = classify(A_grid)
     levels = [_REGIME_ORDER[r] for r in regimes]
     monotonic = all(b >= a for a, b in zip(levels, levels[1:]))
     flags = []
     if not monotonic:
         flags.append("classification not monotone along the grid")
 
-    def bracket(level: int) -> tuple[float, float] | None:
+    def grid_bracket(level: int) -> tuple[float, float] | None:
         below = [i for i, l in enumerate(levels) if l < level]
         at_or_above = [i for i, l in enumerate(levels) if l >= level]
         if not below or not at_or_above:
             return None
         lo_i = max(i for i in below if any(j > i for j in at_or_above))
         hi_i = min(j for j in at_or_above if j > lo_i)
-        lo, hi = A_grid[lo_i], A_grid[hi_i]
-        for _ in range(refine_rounds):
-            mid = 0.5 * (lo + hi)
-            if _REGIME_ORDER[classify(mid)] >= level:
-                hi = mid
-            else:
-                lo = mid
-        return lo, hi
+        return A_grid[lo_i], A_grid[hi_i]
 
-    spread_bracket = bracket(1)
-    nonlocal_bracket = bracket(2)
+    # both brackets bisect in lockstep, each round one run of their midpoints
+    brackets = {level: grid_bracket(level) for level in (1, 2)}
+    open_levels = [level for level, b in brackets.items() if b is not None]
+    for _ in range(refine_rounds if open_levels else 0):
+        mids = [0.5 * (brackets[l][0] + brackets[l][1]) for l in open_levels]
+        for level, mid, regime in zip(open_levels, mids, classify(mids)):
+            lo, hi = brackets[level]
+            brackets[level] = ((lo, mid) if _REGIME_ORDER[regime] >= level
+                               else (mid, hi))
+    spread_bracket, nonlocal_bracket = brackets[1], brackets[2]
     if all(r == "contained" for r in regimes):
         flags.append("no spreading observed")
     elif spread_bracket is None or nonlocal_bracket is None:

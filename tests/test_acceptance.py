@@ -159,21 +159,31 @@ def test_criterion_07_network_double_threshold():
     params = ModelParams(omega=0.2, theta=0.3, z0=10.0, beta=1.0, a=5.1,
                          p=0.7, eta=0.2, eta_alpha=0.13)
     graph = grid_graph(10, 10, ("hub", 55))
-    reports = {}
+    reports, coarse = {}, {}
     for amplitude in (2.0, 6.0, 10.0):
         traj = integrate_network(
             graph, params, ExplicitSchedule([Shock(0.0, amplitude, 55)]),
             (0.01, 0.0), t_end=50.0, dt=1e-3, record_stride=50)
         reports[amplitude] = classify_spread(traj, graph, 55)
+        # every second record is a stride-100 run: its only shock is at t=0
+        # and 50,000 steps are a multiple of 100
+        every_second = replace(traj, times=traj.times[::2],
+                               lam=traj.lam[::2], alpha=traj.alpha[::2])
+        coarse[amplitude] = classify_spread(every_second, graph, 55)
     elapsed = time.perf_counter() - started
     regimes = {amp: rep.regime for amp, rep in reports.items()}
     jumps = {amp: len(rep.jump_nodes) for amp, rep in reports.items()}
-    ok = (regimes == {2.0: "contained", 6.0: "local", 10.0: "nonlocal"}
+    coarse_regimes = {amp: rep.regime for amp, rep in coarse.items()}
+    coarse_jumps = {amp: len(rep.jump_nodes) for amp, rep in coarse.items()}
+    ladder = {2.0: "contained", 6.0: "local", 10.0: "nonlocal"}
+    ok = (regimes == ladder
           and jumps[6.0] == 0 and jumps[10.0] > 0
+          and coarse_regimes == ladder
+          and coarse_jumps[6.0] == 0 and coarse_jumps[10.0] > 0
           and elapsed < 120.0)
     _report(7, "double threshold at A=2/6/10", ok,
-            f"observed {regimes} with jump nodes {jumps} "
-            f"in {elapsed:.0f}s")
+            f"observed {regimes} with jump nodes {jumps}, at stride 100 "
+            f"{coarse_regimes} with {coarse_jumps} in {elapsed:.0f}s")
 
 
 def test_criterion_08_delay_effect():
@@ -284,7 +294,7 @@ def test_criterion_12_peak_statistics():
             f"t violations {rep.t_violation_fraction:.2%} in {elapsed:.0f}s")
 
 
-def test_criterion_13_numerics_hygiene():
+def test_criterion_13_numerics_hygiene(mesh_halving_runs):
     # RK4 step halving
     def site_run(dt):
         return integrate_site(BASE, None, SiteState(0.5, 3.0), t_end=5.0,
@@ -298,21 +308,7 @@ def test_criterion_13_numerics_hygiene():
     rk4_ratio = d1 / d2
 
     # PDE mesh halving with a resolution-independent (gaussian) deposit
-    params = ModelParams(omega=0.2, theta=0.05, eta=0.198, p=0.7, z0=10.0,
-                         beta=1.0, a=100.0)
-
-    def pde_run(cells):
-        g = SpatialGrid((20.0,), (cells,))
-        pp = PdeParams(model=params, D=0.1, deposit="gaussian",
-                       deposit_width=0.5)
-        init = FieldState(np.exp(-10.0 * g.centers()), np.zeros(cells))
-        traj = integrate_pde(pp, g, ExplicitSchedule([Shock(0.0, 50.0, 0.0)]),
-                             init, t_end=6.0, dt=2e-4, record_stride=10 ** 9)
-        return g, traj.lam[-1]
-
-    g1, u1 = pde_run(100)
-    g2, u2 = pde_run(200)
-    g4, u4 = pde_run(400)
+    (g1, u1), (g2, u2), (g4, u4) = mesh_halving_runs
     x1 = g1.centers()
     e1 = np.max(np.abs(u1 - np.interp(x1, g2.centers(), u2)))
     e2 = np.max(np.abs(np.interp(x1, g2.centers(), u2)

@@ -442,6 +442,25 @@ class TestMain:
         assert main(["run", str(bad)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["run"], ["sweep", "--axis", "numerics.dt", "--values", "0.1"]])
+    @pytest.mark.parametrize("unreadable", ["missing", "directory",
+                                            "not_utf8"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, command,
+                                       unreadable):
+        path = tmp_path / "cfg.yaml"
+        if unreadable == "directory":
+            path.mkdir()
+        elif unreadable == "not_utf8":
+            path.write_bytes(b"model: site\n# \xff\xfe\n")
+        out = tmp_path / "o"
+        code = main([command[0], str(path), *command[1:], "--output",
+                     str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(path) in err
+        assert not out.exists()
+
     def test_complex_rk_stage_aborts_cleanly(self, tmp_path, capsys):
         # from lam=100 with dt=0.1 an RK stage takes lam below -lambda1,
         # where the power-form tension decay turns complex
@@ -650,10 +669,19 @@ def config_values(table, path=""):
 
 def run_configs(model, kind):
     """Configs drawn from CONFIG for one model and experiment kind; a kind
-    of another model only exits 2, as the probes show."""
-    return config_values(CONFIG).map(lambda data: {
+    of another model only exits 2, as the probes show.  A forced-regime run
+    needs 50 events up to t_end <= 1, which few drawn schedules have, so
+    there the schedule is periodic with 50-200 events up to the drawn
+    t_end."""
+    configs = config_values(CONFIG).map(lambda data: {
         **data, "model": model, "experiment": {**data["experiment"],
                                                "kind": kind}})
+    if kind != "forced_regime":
+        return configs
+    return configs.flatmap(lambda data: st.integers(50, 200).map(
+        lambda events: {**data, "schedule": {
+            **data["schedule"], "kind": "periodic",
+            "period": data["numerics"]["t_end"] / events}}))
 
 
 class TestParsedConfigsRun:

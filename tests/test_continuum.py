@@ -402,25 +402,9 @@ class TestNonlocalIntegration:
 
 
 class TestSpatialConvergence:
-    def test_second_order_in_dx(self):
+    def test_second_order_in_dx(self, mesh_halving_runs):
         # smooth (gaussian) deposit keeps the problem resolution-independent
-        p = ModelParams(omega=0.2, theta=0.05, eta=0.198, p=0.7, z0=10.0,
-                        beta=1.0, a=100.0)
-
-        def run(cells):
-            g = SpatialGrid((20.0,), (cells,))
-            pp = PdeParams(model=p, D=0.1, deposit="gaussian",
-                           deposit_width=0.5)
-            lam0 = np.exp(-10.0 * g.centers())
-            traj = integrate_pde(pp, g,
-                                 ExplicitSchedule([Shock(0.0, 50.0, 0.0)]),
-                                 FieldState(lam0, np.zeros(cells)),
-                                 t_end=6.0, dt=2e-4, record_stride=10 ** 9)
-            return g, traj.lam[-1]
-
-        g1, u1 = run(100)
-        g2, u2 = run(200)
-        g4, u4 = run(400)
+        (g1, u1), (g2, u2), (g4, u4) = mesh_halving_runs
         x1 = g1.centers()
         d1 = np.max(np.abs(u1 - np.interp(x1, g2.centers(), u2)))
         d2 = np.max(np.abs(np.interp(x1, g2.centers(), u2)

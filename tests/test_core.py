@@ -2,9 +2,10 @@
 import numpy as np
 import pytest
 
-from riotdyn import (ExplicitSchedule, FieldState, ModelParams, PdeParams,
-                     Shock, SiteState, SpatialGrid, grid_graph,
+from riotdyn import (BlowUpError, ExplicitSchedule, FieldState, ModelParams,
+                     PdeParams, Shock, SiteState, SpatialGrid, grid_graph,
                      integrate_network, integrate_pde, integrate_site)
+from riotdyn._core import drive_arrays
 
 from conftest import BASE
 
@@ -67,3 +68,30 @@ def test_shock_stops_and_stride_recording(model):
         assert totals[i] - totals_pre[-1] == pytest.approx(GROUPS[t],
                                                            abs=1e-12)
 
+
+
+def test_clamps_counted_per_row():
+    # each move takes row b down by b, and tension row b down by 2b, so
+    # after it row 0 stays nonnegative and rows 1 and 2 each clamp three
+    # entries per step
+    drops = np.repeat(np.arange(3.0), 3)
+
+    def move(lam, alpha, h):
+        return lam - drops, alpha - 2 * drops
+
+    state = (np.zeros(9), np.zeros(9))
+    *_, per_row = drive_arrays(move, None, state, [], 1.0, 0.5, 1, rows=3)
+    assert per_row == [0, 12, 12]
+    *_, total = drive_arrays(move, None, state, [], 1.0, 0.5, 1)
+    assert total == [24] and isinstance(total[0], int)
+
+
+def test_non_finite_row_stops_the_run():
+    def move(lam, alpha, h):
+        lam = lam.copy()
+        lam[3] = np.inf
+        return lam, alpha.copy()
+
+    state = (np.zeros(4), np.zeros(4))
+    with pytest.raises(BlowUpError):
+        drive_arrays(move, None, state, [], 1.0, 0.5, 1, rows=2)

@@ -16,6 +16,7 @@ from riotdyn import (AmplitudeLaw, ExplicitSchedule, Graph, ModelParams,
                      tension_rate)
 from riotdyn.model import (self_reinforcement_arr, tension_decay_rate_arr,
                            transition_rate_arr)
+from riotdyn.network import _REGIME_ORDER, ThresholdScan, _integrate_members
 
 from conftest import BASE, SLOW
 
@@ -298,6 +299,64 @@ class TestIntegrateNetwork:
                               (0.0, 0.0), t_end=1.0, dt=1e-3)
 
 
+# the constants of acceptance criterion 7
+SPREAD = ModelParams(omega=0.2, theta=0.3, z0=10.0, beta=1.0, a=5.1, p=0.7,
+                     eta=0.2, eta_alpha=0.13)
+
+
+@st.composite
+def member_batches(draw):
+    """A hub or two-hub grid of up to 6x6 nodes, an initial state, a record
+    stride and 1-6 schedules whose shocks all fall at t=0 and at one later
+    time, with drawn amplitudes and sites."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(2, 6))
+    n = rows * cols
+    hubs = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2,
+                         unique=True))
+    graph = grid_graph(rows, cols, ("hub" if len(hubs) == 1 else "two_hubs",
+                                    *hubs))
+    later = draw(st.floats(0.05, 1.95))
+    shocks = st.lists(st.tuples(st.floats(0.01, 15.0),
+                                st.integers(0, n - 1)), min_size=1, max_size=2)
+    schedules = [
+        ExplicitSchedule([Shock(t, a, site) for t in (0.0, later)
+                          for a, site in draw(shocks)])
+        for _ in range(draw(st.integers(1, 6)))]
+    uniform = st.floats(0.0, 2.0)
+    initial = draw(st.tuples(uniform, uniform) | st.builds(
+        NetworkState, *(st.lists(uniform, min_size=n, max_size=n)
+                        .map(np.array) for _ in range(2))))
+    return graph, schedules, initial, draw(st.integers(1, 5))
+
+
+class TestIntegrateMembers:
+    @given(case=member_batches())
+    @settings(max_examples=25)
+    def test_batch_equals_serial_runs_bit_for_bit(self, case):
+        graph, schedules, initial, stride = case
+        batch = _integrate_members(graph, SPREAD, schedules, initial,
+                                   t_end=2.0, dt=0.01, record_stride=stride)
+        assert len(batch) == len(schedules)
+        for traj, schedule in zip(batch, schedules):
+            serial = integrate_network(graph, SPREAD, schedule, initial,
+                                       t_end=2.0, dt=0.01,
+                                       record_stride=stride)
+            for field in ("times", "lam", "alpha", "shock_marks"):
+                got, want = getattr(traj, field), getattr(serial, field)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), field
+            assert traj.clamp_count == serial.clamp_count
+
+    @pytest.mark.parametrize("times", [(0.0, 0.5), (0.0, (0.0, 0.5)),
+                                       ((0.0, 0.5), (0.0, 0.6))])
+    def test_shock_times_must_be_shared(self, times):
+        schedules = [ExplicitSchedule([Shock(t, 1.0, 0) for t in
+                                       np.atleast_1d(ts)]) for ts in times]
+        with pytest.raises(ValueError, match="same times"):
+            _integrate_members(grid_graph(2, 2), SPREAD, schedules,
+                               t_end=1.0, dt=0.1)
+
+
 class TestActivationTimes:
     def test_seed_activates_after_strong_shock(self):
         p = replace(BASE, eta=0.05, theta=0.12, lambda_b=0.001)
@@ -410,6 +469,46 @@ class TestDoubleThresholdScan:
         assert scan.nonlocal_bracket is None
         assert any("partial" in f for f in scan.flags)
         assert scan.monotonic
+
+    def test_empty_grid_observes_no_spreading(self):
+        scan = double_threshold_scan(grid_graph(3, 3), self.RELAY, [], 4,
+                                     t_end=1.0, dt=0.1)
+        assert scan == ThresholdScan((), (), None, None, True,
+                                     ("no spreading observed",))
+
+    def test_batched_scan_equals_serial_bisection(self):
+        # a 6x6 hub grid whose stronger tension inflow gives all three
+        # regimes on the grid 2/6/14 within t=15
+        params = replace(SPREAD, eta_alpha=0.2)
+        g, hub, grid = grid_graph(6, 6, ("hub", 21)), 21, [2.0, 6.0, 14.0]
+        run = dict(t_end=15.0, dt=0.02, record_stride=5)
+
+        def regime(amplitude):
+            traj = integrate_network(
+                g, params, ExplicitSchedule([Shock(0.0, amplitude, hub)]),
+                (0.01, 0.0), **run)
+            return classify_spread(traj, g, hub).regime
+
+        regimes = [regime(a) for a in grid]
+        levels = [_REGIME_ORDER[r] for r in regimes]
+
+        def bracket(level):
+            # the first bracket of the grid, then one serial run per round
+            lo_i = max(i for i, l in enumerate(levels) if l < level)
+            lo, hi = grid[lo_i], grid[lo_i + 1]
+            for _ in range(3):
+                mid = 0.5 * (lo + hi)
+                if _REGIME_ORDER[regime(mid)] >= level:
+                    hi = mid
+                else:
+                    lo = mid
+            return lo, hi
+
+        assert regimes == ["contained", "local", "nonlocal"]
+        serial = ThresholdScan(tuple(grid), tuple(regimes), bracket(1),
+                               bracket(2), True, ())
+        assert double_threshold_scan(g, params, grid, hub, (0.01, 0.0),
+                                     refine_rounds=3, **run) == serial
 
     def test_all_quiet_flags_no_spreading(self):
         g = grid_graph(1, 9)
