@@ -13,7 +13,7 @@ from .model import (ExcitabilityReport, FixedPoint, ModelParams, SiteState,
                     tension_decay_rate, tension_nullcline, tension_rate,
                     tension_threshold, transition_rate)
 from .shocks import (AmplitudeLaw, ExplicitSchedule, PeriodicSchedule,
-                     PoissonSchedule, Shock, apply_shock, realize)
+                     PoissonSchedule, Shock, realize)
 from .single_site import (ForcedRegimeResult, HysteresisResult, Trajectory,
                           check_relaxation, classify_forced_regime,
                           hysteresis_sweep, integrate_site, load_trajectory,

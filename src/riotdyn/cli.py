@@ -156,7 +156,7 @@ CONFIG: dict = {
     # the defaults of ModelParams, which checks the values
     "params": {f.name: _choice(*DECAY_FORMS) if f.name == "decay_form"
                else Leaf(f.default, optional=f.default is None)
-               for f in fields(ModelParams) if f.name != "g_fn"},
+               for f in fields(ModelParams)},
     "schedule": {
         "kind": _choice("none", "explicit", "periodic", "poisson"),
         "shocks": Leaf([], "record", size=(0, None), options={

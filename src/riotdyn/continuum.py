@@ -36,7 +36,7 @@ import numpy as np
 
 from ._core import drive_arrays, group_events, rk4, write_table
 from .errors import NoExcitedStateError
-from .model import (ModelParams, growth_slope_at_zero, peak_activity,
+from .model import (ModelParams, peak_activity,
                     self_reinforcement, self_reinforcement_arr,
                     tension_decay_rate, tension_decay_rate_arr,
                     transition_rate, transition_rate_arr)
@@ -510,8 +510,7 @@ def steady_states(params: ModelParams) -> SteadyStatesReport:
     states = tuple((_tw_alpha_of_lam(lam, params), lam) for lam in roots)
 
     alpha1 = states[0][0]
-    lhs = (transition_rate(alpha1, params) * growth_slope_at_zero(params)
-           + params.eta)
+    lhs = transition_rate(alpha1, params) * params.z0 + params.eta
     rhs = tension_decay_rate(0.0, params) + params.kappa
     classification = "monostable" if lhs > rhs else "bistable"
     return SteadyStatesReport(states, classification, lhs, rhs,

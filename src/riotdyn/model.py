@@ -12,16 +12,16 @@ with three ingredient functions
     r(alpha)  = 1 / (1 + exp(-beta (alpha - a)))   tension-gated switch
     h(lam)    = theta (1 + lam/lambda1)^(-p)  or  theta exp(-p lam)
 
-G can be replaced (``g_fn``); r and h are fixed to the forms above.  This
-module also houses the phase-plane machinery: nullclines, fixed points with
-stability, the peak sustainable activity and the tension threshold at which
-the activity nullcline lifts off zero.
+The three forms are fixed.  This module also houses the phase-plane
+machinery: nullclines, fixed points with stability, the peak sustainable
+activity and the tension threshold at which the activity nullcline lifts
+off zero.
 """
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -41,7 +41,6 @@ __all__ = [
     "self_reinforcement_arr",
     "transition_rate_arr",
     "tension_decay_rate_arr",
-    "growth_slope_at_zero",
     "peak_activity",
     "required_peak_activity",
     "tension_threshold",
@@ -82,7 +81,6 @@ class ModelParams:
     sigma       multiplicative noise amplitude (>= 0, stochastic runs)
     decay_form  "power" for theta (1+lam/lambda1)^-p, "exponential"
                 for theta exp(-p lam)
-    g_fn        optional replacement callable for G
     """
 
     omega: float = 0.4
@@ -98,8 +96,6 @@ class ModelParams:
     eta_alpha: float | None = None
     sigma: float = 0.0
     decay_form: str = "power"
-    g_fn: Callable[[float], float] | None = field(
-        default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         for name in ("omega", "theta", "a", "lambda_b", "alpha_b", "eta",
@@ -126,13 +122,6 @@ class ModelParams:
         """Net decay rate omega - eta of activity under spatial coupling."""
         return self.omega - self.eta
 
-    def require_spatial(self) -> None:
-        """Reject parameter sets whose spatial runs cannot decay (eta >= omega)."""
-        if self.eta > 0.0 and self.omega <= self.eta:
-            raise ValueError(
-                f"spatial coupling requires omega > eta, got omega={self.omega}"
-                f" eta={self.eta}")
-
 
 @dataclass(frozen=True)
 class SiteState:
@@ -152,8 +141,6 @@ def self_reinforcement(z: float, params: ModelParams) -> float:
     """G(z) = z (z0 - z): positive on (0, z0), zero at 0 and z0."""
     if not math.isfinite(z):
         raise ValueError(f"activity must be finite, got {z}")
-    if params.g_fn is not None:
-        return params.g_fn(z)
     return z * (params.z0 - z)
 
 
@@ -198,8 +185,6 @@ def tension_rate(lam: float, alpha: float, params: ModelParams) -> float:
 def self_reinforcement_arr(z: np.ndarray, params: ModelParams) -> np.ndarray:
     """Elementwise G over an array of activities."""
     z = np.asarray(z, dtype=float)
-    if params.g_fn is not None:
-        return np.vectorize(params.g_fn, otypes=[float])(z)
     return z * (params.z0 - z)
 
 
@@ -216,14 +201,6 @@ def tension_decay_rate_arr(lam: np.ndarray, params: ModelParams) -> np.ndarray:
     if params.decay_form == "power":
         return params.theta * (1.0 + lam / params.lambda1) ** (-params.p)
     return params.theta * np.exp(-params.p * lam)
-
-
-def growth_slope_at_zero(params: ModelParams) -> float:
-    """G'(0); z0 for the default form, central difference for a custom one."""
-    if params.g_fn is None:
-        return params.z0
-    step = 1e-7 * max(1.0, params.z0)
-    return (params.g_fn(step) - params.g_fn(-step)) / (2.0 * step)
 
 
 def _bisect(f: Callable[[float], float], lo: float, hi: float,
@@ -268,10 +245,10 @@ def _scan_roots(f: Callable[[float], float], lo: float, hi: float,
 def peak_activity(params: ModelParams) -> float | None:
     """Largest sustainable activity: the positive root of -omega z + G(z).
 
-    Equals z0 - omega for the default G.  Returns ``None`` when omega >=
-    G'(0) and no positive root exists (no excited state).
+    Equals z0 - omega.  Returns ``None`` when omega >= G'(0) = z0 and no
+    positive root exists (no excited state).
     """
-    if growth_slope_at_zero(params) <= params.omega:
+    if params.z0 <= params.omega:
         return None
     f = lambda z: -params.omega * z + self_reinforcement(z, params)
     roots = [z for z in _scan_roots(f, 0.0, 1.5 * params.z0) if z > ROOT_TOL]
@@ -295,8 +272,8 @@ def tension_threshold(params: ModelParams) -> float:
     Returns ``-inf`` when the system is excitable at any tension
     (omega/G'(0) <= r at all alpha) and ``+inf`` when it is never excitable.
     """
-    gp0 = growth_slope_at_zero(params)
-    if gp0 <= 0.0 or params.omega >= gp0:
+    gp0 = params.z0                     # G'(0)
+    if params.omega >= gp0:
         return math.inf
     rc = params.omega / gp0
     if rc <= 0.0:
@@ -309,20 +286,20 @@ def activity_nullcline(alpha: float, params: ModelParams) -> float:
     """Largest nonnegative root of the activity reaction at fixed tension.
 
     For lambda_b = 0 this is max(0, z0 - omega/r(alpha)); it increases from
-    0 at the tension threshold up to the peak activity as alpha grows.
+    0 at the tension threshold up to the peak activity as alpha grows.  For
+    lambda_b > 0 it is the positive root of r lam^2 - b lam - omega lambda_b
+    with b = r z0 - omega.
     """
-    if not math.isfinite(alpha):
-        raise ValueError(f"tension must be finite, got {alpha}")
-    if params.lambda_b == 0.0 and params.g_fn is None:
-        r = transition_rate(alpha, params)
-        if r <= params.omega / params.z0:
-            return 0.0
-        return max(0.0, params.z0 - params.omega / r)
-    f = lambda lam: activity_rate(lam, alpha, params)
-    roots = [z for z in _scan_roots(f, 0.0, 1.5 * params.z0) if z >= 0.0]
-    if not roots:
+    r = transition_rate(alpha, params)
+    c = params.omega * params.lambda_b
+    if c > 0.0:
+        # either form of the root, whichever has no cancellation
+        b = r * params.z0 - params.omega
+        root = math.sqrt(b * b + 4.0 * r * c)
+        return (b + root) / (2.0 * r) if b > 0.0 else 2.0 * c / (root - b)
+    if r <= params.omega / params.z0:
         return 0.0
-    return max(roots)
+    return max(0.0, params.z0 - params.omega / r)
 
 
 def tension_nullcline(lam: float, params: ModelParams) -> float:
@@ -341,34 +318,19 @@ class FixedPoint:
 
 
 def _jacobian(lam: float, alpha: float, params: ModelParams):
-    """Jacobian of (activity_rate, tension_rate) at a state.
-
-    Analytic for the default G, central differences when ``g_fn``
-    replaces it.
-    """
-    if params.g_fn is None:
-        r = transition_rate(alpha, params)
-        dG = params.z0 - 2.0 * lam
-        drdalpha = params.beta * r * (1.0 - r)
-        h = tension_decay_rate(lam, params)
-        if params.decay_form == "power":
-            dhdlam = (-params.p / params.lambda1) * params.theta * (
-                1.0 + lam / params.lambda1) ** (-params.p - 1.0)
-        else:
-            dhdlam = -params.p * h
-        return ((-params.omega + r * dG,
-                 drdalpha * self_reinforcement(lam, params)),
-                (-alpha * dhdlam, -h))
-    step = 1e-6 * max(1.0, params.z0)
-    j11 = (activity_rate(lam + step, alpha, params)
-           - activity_rate(lam - step, alpha, params)) / (2 * step)
-    j12 = (activity_rate(lam, alpha + step, params)
-           - activity_rate(lam, alpha - step, params)) / (2 * step)
-    j21 = (tension_rate(lam + step, alpha, params)
-           - tension_rate(lam - step, alpha, params)) / (2 * step)
-    j22 = (tension_rate(lam, alpha + step, params)
-           - tension_rate(lam, alpha - step, params)) / (2 * step)
-    return ((j11, j12), (j21, j22))
+    """Analytic Jacobian of (activity_rate, tension_rate) at a state."""
+    r = transition_rate(alpha, params)
+    dG = params.z0 - 2.0 * lam
+    drdalpha = params.beta * r * (1.0 - r)
+    h = tension_decay_rate(lam, params)
+    if params.decay_form == "power":
+        dhdlam = (-params.p / params.lambda1) * params.theta * (
+            1.0 + lam / params.lambda1) ** (-params.p - 1.0)
+    else:
+        dhdlam = -params.p * h
+    return ((-params.omega + r * dG,
+             drdalpha * self_reinforcement(lam, params)),
+            (-alpha * dhdlam, -h))
 
 
 def _classify(jac) -> tuple[str, tuple[complex, complex]]:
@@ -438,7 +400,7 @@ class ExcitabilityReport:
 
 def check_excitability(params: ModelParams, warn: bool = False) -> ExcitabilityReport:
     """Evaluate the excitability hypothesis, optionally emitting a warning."""
-    gp0 = growth_slope_at_zero(params)
+    gp0 = params.z0                     # G'(0)
     r0 = transition_rate(0.0, params)
     report = ExcitabilityReport(
         quiet_state_attracting=gp0 * r0 < params.omega,

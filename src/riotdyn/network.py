@@ -10,8 +10,9 @@ outflow term).  Per node s:
     d(alpha_s)/dt = (eta_a/d_C(s)) sum_j c_sj alpha_j
                     - h(lam_s) alpha_s + theta alpha_b
 
-with eta_a = params.eta_alpha or eta.  An optional multiplicative Brownian
-noise sigma lam dX enters the activity equation only, stepped with
+with eta_a = params.eta_alpha or eta.  V and C are kept as edge lists, and
+no n x n array is built on the run path.  An optional multiplicative
+Brownian noise sigma lam dX enters the activity equation only, stepped with
 Euler-Maruyama.  Shocks are per-node tension jumps applied at exact times.
 
 Spread analyses: per-node activation times, the contained/local/nonlocal
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -57,60 +57,74 @@ ACTIVATION_FRACTION = 0.2   # default threshold_fraction for activation
 
 @dataclass(frozen=True)
 class Graph:
-    """Node set with geographic adjacency V and social adjacency C.
-
-    V must be symmetric 0/1 with zero diagonal; C is 0/1 with zero diagonal
-    and need not be symmetric (c_sj = 1 means node s listens to node j).
+    """Node set with geographic adjacency V and social adjacency C (a pair
+    (s, j) of C: node s listens to node j), kept as (rows, cols) edge lists
+    sorted row-major: the order of ``np.nonzero`` on the dense matrix, in
+    which every per-node sum adds its terms.  Ids must be integers in
+    [0, n), with no self-loops or repeats, and V must be symmetric (else
+    ValueError).  ``V`` and ``C`` build the dense matrices on demand.
     """
 
     n: int
-    V: np.ndarray
-    C: np.ndarray
+    edges_geo: tuple[np.ndarray, np.ndarray]
+    edges_social: tuple[np.ndarray, np.ndarray]
     positions: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        for name, m in (("V", self.V), ("C", self.C)):
-            if m.shape != (self.n, self.n):
-                raise ValueError(f"{name} must be ({self.n}, {self.n})")
-            if not np.isin(m, (0, 1)).all():
-                raise ValueError(f"{name} entries must be 0 or 1")
-            if np.diagonal(m).any():
-                raise ValueError(f"{name} must have a zero diagonal")
-        if (self.V != self.V.T).any():
-            raise ValueError("V must be symmetric")
+        n = self.n
+        for name in ("edges_geo", "edges_social"):
+            rows, cols = (np.asarray(e) for e in getattr(self, name))
+            if (rows.ndim != 1 or rows.shape != cols.shape or rows.size
+                    and {rows.dtype.kind, cols.dtype.kind} - set("iu")):
+                raise ValueError(f"{name} must be two 1-D integer arrays")
+            order = np.argsort(rows * n + cols)
+            rows, cols = (e[order].astype(np.intp) for e in (rows, cols))
+            bad = ((rows < 0) | (rows >= n) | (cols < 0) | (cols >= n)
+                   | (rows == cols)
+                   | np.r_[False, np.diff(rows * n + cols) == 0])
+            if bad.any():
+                i = bad.argmax()
+                raise ValueError(f"{name} pair ({rows[i]}, {cols[i]}) is a "
+                                 f"self-loop, a repeat or outside [0, {n})")
+            object.__setattr__(self, name, (rows, cols))
+        rows, cols = self.edges_geo
+        if not np.array_equal(np.sort(cols * n + rows), rows * n + cols):
+            raise ValueError("edges_geo must be symmetric")
 
-    # V and C are fixed after validation, so what the RHS and the coupling
-    # checks read of them is computed once per graph
     @cached_property
     def degrees_geo(self) -> np.ndarray:
-        return self.V.sum(axis=1)
+        return np.bincount(self.edges_geo[0], minlength=self.n)
 
     @cached_property
     def degrees_social(self) -> np.ndarray:
-        return self.C.sum(axis=1)
-
-    # (rows, cols) of the nonzero entries, row-major: a neighbour sum reads
-    # each edge once instead of a dense n x n operator
-    @cached_property
-    def edges_geo(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.nonzero(self.V)
+        return np.bincount(self.edges_social[0], minlength=self.n)
 
     @cached_property
-    def edges_social(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.nonzero(self.C)
+    def indptr_geo(self) -> np.ndarray:
+        # CSR: the V-neighbours of s are edges_geo[1][indptr[s]:indptr[s+1]]
+        return np.concatenate(([0], np.cumsum(self.degrees_geo)))
+
+    V = property(lambda self: _dense(self.n, self.edges_geo))
+    C = property(lambda self: _dense(self.n, self.edges_social))
 
     def distances_from(self, node: int) -> np.ndarray:
         """BFS hop distances over V; unreachable nodes get +inf."""
-        dist = np.full(self.n, np.inf)
+        check_node_site(node, self.n, "seed node")
+        indptr, cols = self.indptr_geo.tolist(), self.edges_geo[1].tolist()
+        dist, queue = np.full(self.n, np.inf), [node]
         dist[node] = 0
-        queue = deque([node])
-        while queue:
-            s = queue.popleft()
-            for j in np.nonzero(self.V[s])[0]:
-                if not np.isfinite(dist[j]):
+        for s in queue:                 # appended to while it is read
+            for j in cols[indptr[s]:indptr[s + 1]]:
+                if dist[j] == np.inf:
                     dist[j] = dist[s] + 1
-                    queue.append(int(j))
+                    queue.append(j)
         return dist
+
+
+def _dense(n: int, edges) -> np.ndarray:
+    m = np.zeros((n, n), dtype=np.int8)
+    m[edges] = 1
+    return m
 
 
 @dataclass(frozen=True)
@@ -129,8 +143,7 @@ class NetworkState:
             raise ValueError("state entries must be nonnegative")
 
 
-def grid_graph(rows: int, cols: int, social="copy_of_V",
-               positions: bool = True) -> Graph:
+def grid_graph(rows: int, cols: int, social="copy_of_V") -> Graph:
     """Square grid of rows x cols nodes with 4-neighbor geographic edges.
 
     ``social`` selects the social adjacency:
@@ -139,70 +152,58 @@ def grid_graph(rows: int, cols: int, social="copy_of_V",
         every other node so that no node is socially isolated
       - ("two_hubs", i, j): every node listens to both hubs; each hub
         listens to the other
-      - an explicit 0/1 matrix
 
-    Node ids are row-major: node = r * cols + c.
+    Node ids are row-major: node = r * cols + c, at position (r, c).
     """
     n = rows * cols
     if n < 2:
         raise ValueError("grid needs at least 2 nodes")
-    V = np.zeros((n, n), dtype=np.int8)
-    for r in range(rows):
-        for c in range(cols):
-            s = r * cols + c
-            if c + 1 < cols:
-                V[s, s + 1] = V[s + 1, s] = 1
-            if r + 1 < rows:
-                V[s, s + cols] = V[s + cols, s] = 1
-
-    if isinstance(social, np.ndarray):
-        C = social.astype(np.int8)
-    elif social == "copy_of_V":
-        C = V.copy()
-    elif isinstance(social, (tuple, list)) and social[0] == "hub":
-        hub = int(social[1])
-        if not 0 <= hub < n:
-            raise IndexError(f"hub {hub} out of range for {n} nodes")
-        C = np.zeros((n, n), dtype=np.int8)
-        C[:, hub] = 1
-        C[hub, :] = 1
-        C[hub, hub] = 0
-    elif isinstance(social, (tuple, list)) and social[0] == "two_hubs":
-        h1, h2 = int(social[1]), int(social[2])
-        for h in (h1, h2):
-            if not 0 <= h < n:
-                raise IndexError(f"hub {h} out of range for {n} nodes")
-        if h1 == h2:
+    nodes = np.arange(n)
+    right = nodes[nodes % cols + 1 < cols]     # has a neighbour at s + 1
+    down = nodes[:n - cols]                    # has a neighbour at s + cols
+    geo = np.c_[np.r_[right, down], np.r_[right + 1, down + cols]]
+    spec = (social,) if isinstance(social, str) else tuple(social)
+    hubs = [int(h) for h in spec[1:]]
+    if spec == ("copy_of_V",):
+        listen = None
+    elif (spec[0], len(hubs)) in (("hub", 1), ("two_hubs", 2)):
+        if not all(0 <= h < n for h in hubs):
+            raise IndexError(f"hubs {hubs} out of range for {n} nodes")
+        if len(set(hubs)) < len(hubs):
             raise ValueError("the two hubs must be distinct")
-        C = np.zeros((n, n), dtype=np.int8)
-        C[:, h1] = 1
-        C[:, h2] = 1
-        np.fill_diagonal(C, 0)
+        # every node listens to each hub; a lone hub listens to everyone
+        listen = np.concatenate([np.c_[nodes, np.full(n, h)] for h in hubs])
+        if spec[0] == "hub":
+            listen = np.concatenate((listen, listen[:, ::-1]))
     else:
         raise ValueError(f"unknown social spec {social!r}")
+    return _from_pairs(n, geo, listen,
+                       np.column_stack(np.divmod(nodes, cols)).astype(float))
 
-    pos = None
-    if positions:
-        pos = np.array([(r, c) for r in range(rows) for c in range(cols)],
-                       dtype=float)
-    return Graph(n, V, C, pos)
+
+def _from_pairs(n: int, geo, social, positions=None) -> Graph:
+    """Graph of (m, 2) arrays of node ids in [0, n), geo mirrored (social
+    None copies it), both without self-loops or repeats."""
+    geo = np.concatenate((geo, geo[:, ::-1]))
+    return Graph(n, *(np.divmod(np.unique(p[p[:, 0] != p[:, 1]] @ [n, 1]), n)
+                      for p in (geo, geo if social is None else social)),
+                 positions)
 
 
 def graph_from_edge_lists(n: int, geo_edges, social_edges=None) -> Graph:
     """Build a graph from "i j" edge pairs; geographic edges are symmetrized,
-    social edges are directed (s listens to j for a pair "s j")."""
-    V = np.zeros((n, n), dtype=np.int8)
-    for i, j in geo_edges:
-        V[i, j] = V[j, i] = 1
-    np.fill_diagonal(V, 0)
-    if social_edges is None:
-        C = V.copy()
-    else:
-        C = np.zeros((n, n), dtype=np.int8)
-        for i, j in social_edges:
-            C[i, j] = 1
-        np.fill_diagonal(C, 0)
-    return Graph(n, V, C)
+    social edges are directed (s listens to j for a pair "s j").  Self-loops
+    are dropped and repeats merged; without social edges C copies V.  A node
+    id that is not an integer in [0, n) raises ValueError naming its pair.
+    """
+    def pairs(edges):
+        edges = [tuple(p) for p in edges]
+        for pair in edges:
+            for node in pair:
+                check_node_site(node, n, f"edge {pair}: node")
+        return np.array(edges, dtype=np.intp).reshape(len(edges), 2)
+    return _from_pairs(n, pairs(geo_edges),
+                       None if social_edges is None else pairs(social_edges))
 
 
 def _read_edge_list(path) -> list[tuple[int, int]]:
@@ -470,13 +471,11 @@ def classify_spread(traj: NetworkTrajectory, graph: Graph, seed_node: int,
     if n_act == 0 or bool((dist[activated] <= 1).all()):
         return SpreadReport("contained", act, dist, n_act, (), 0)
 
-    jump_nodes = []
-    for s in np.nonzero(activated)[0]:
-        if s == seed_node:
-            continue
-        nbrs = np.nonzero(graph.V[s])[0]
-        if not (act[nbrs] < act[s]).any():
-            jump_nodes.append(int(s))
+    # per node, the V-neighbours that activated in an earlier sample
+    rows, cols = graph.edges_geo
+    earlier = np.bincount(rows[act[cols] < act[rows]], minlength=graph.n)
+    jumps = activated & (earlier == 0) & (np.arange(graph.n) != seed_node)
+    jump_nodes = np.nonzero(jumps)[0].tolist()
 
     # order check, one hop ring at a time against the strictly closer nodes
     # (the nearest activated ring has none)
@@ -485,9 +484,9 @@ def classify_spread(traj: NetworkTrajectory, graph: Graph, seed_node: int,
     else:
         pos = graph.positions
         plane = np.linalg.norm(pos - pos[seed_node], axis=1)
-        i, j = np.nonzero(np.triu(graph.V))
-        step = float(np.linalg.norm(pos[i] - pos[j], axis=1)
-                     .min(initial=np.inf))
+        upper = rows < cols
+        step = float(np.linalg.norm(pos[rows[upper]] - pos[cols[upper]],
+                                    axis=1).min(initial=np.inf))
     reached = activated & np.isfinite(dist)
     order_violations = 0
     for d in np.unique(dist[reached])[1:]:

@@ -26,7 +26,6 @@ __all__ = [
     "ShockSchedule",
     "realize",
     "event_count",
-    "apply_shock",
     "check_node_site",
 ]
 
@@ -166,28 +165,8 @@ def event_count(schedule: ShockSchedule, horizon: float, seed=None) -> int:
     return len(realize(schedule, horizon, seed))
 
 
-def check_node_site(site, n: int) -> None:
-    """Reject a network shock site that is not a node id in [0, n)."""
+def check_node_site(site, n: int, what: str = "network shock site") -> None:
+    """Reject a node id that is not an integer in [0, n): a network shock
+    site, a seed node, an edge end."""
     if not isinstance(site, (int, np.integer)) or not 0 <= site < n:
-        raise ValueError(
-            f"network shock site {site!r} is not a node id in [0, {n})")
-
-
-def apply_shock(state, shock: Shock):
-    """Apply one impulse: tension at the shocked site jumps by the amplitude,
-    activity is untouched.
-
-    Accepts a ``SiteState`` (site ignored) or a per-node tension array with
-    a node id ``shock.site`` (else ValueError, see :func:`check_node_site`);
-    spatial grids handle their own cell-measure deposit inside the continuum
-    integrator.
-    """
-    from .model import SiteState
-
-    if isinstance(state, SiteState):
-        return SiteState(state.lam, state.alpha + shock.amplitude)
-    alpha = np.asarray(state, dtype=float)
-    check_node_site(shock.site, alpha.shape[0])
-    out = alpha.copy()
-    out[shock.site] += shock.amplitude
-    return out
+        raise ValueError(f"{what} {site!r} is not a node id in [0, {n})")

@@ -21,8 +21,8 @@ import numpy as np
 
 from ._core import NEGATIVITY_CLAMP, drive, group_events, write_table
 from .errors import BlowUpError
-from .model import (ModelParams, SiteState, activity_rate, fixed_points,
-                    required_peak_activity, tension_nullcline, tension_rate)
+from .model import (ModelParams, SiteState, fixed_points,
+                    required_peak_activity, tension_nullcline)
 from .shocks import ShockSchedule, event_count
 
 __all__ = [
@@ -66,34 +66,31 @@ class Trajectory:
 
 
 def _make_rhs(params: ModelParams):
-    """Scalar RHS closure; constants hoisted for the default forms."""
-    if params.g_fn is None:
-        omega, z0, beta, a = params.omega, params.z0, params.beta, params.a
-        theta, p, lam1 = params.theta, params.p, params.lambda1
-        lam_b = params.lambda_b
-        source = params.theta * params.alpha_b
-        power = params.decay_form == "power"
-        exp, pow_ = math.exp, math.pow
+    """Scalar RHS closure with the constants hoisted."""
+    omega, z0, beta, a = params.omega, params.z0, params.beta, params.a
+    theta, p, lam1 = params.theta, params.p, params.lambda1
+    lam_b = params.lambda_b
+    source = params.theta * params.alpha_b
+    power = params.decay_form == "power"
+    exp, pow_ = math.exp, math.pow
 
-        def rhs(lam: float, alpha: float) -> tuple[float, float]:
-            x = -beta * (alpha - a)
-            if x > 700.0:
-                r = 0.0
-            elif x < -700.0:
-                r = 1.0
-            else:
-                r = 1.0 / (1.0 + exp(x))
-            if power:
-                # math.pow raises ValueError where ** would turn complex
-                h = theta * pow_(1.0 + lam / lam1, -p)
-            else:
-                h = theta * exp(-p * lam)
-            return (-omega * (lam - lam_b) + r * lam * (z0 - lam),
-                    source - alpha * h)
+    def rhs(lam: float, alpha: float) -> tuple[float, float]:
+        x = -beta * (alpha - a)
+        if x > 700.0:
+            r = 0.0
+        elif x < -700.0:
+            r = 1.0
+        else:
+            r = 1.0 / (1.0 + exp(x))
+        if power:
+            # math.pow raises ValueError where ** would turn complex
+            h = theta * pow_(1.0 + lam / lam1, -p)
+        else:
+            h = theta * exp(-p * lam)
+        return (-omega * (lam - lam_b) + r * lam * (z0 - lam),
+                source - alpha * h)
 
-        return rhs
-    return lambda lam, alpha: (activity_rate(lam, alpha, params),
-                               tension_rate(lam, alpha, params))
+    return rhs
 
 
 def integrate_site(params: ModelParams,
@@ -102,8 +99,7 @@ def integrate_site(params: ModelParams,
                    t_end: float = 50.0,
                    dt: float = 1e-3,
                    seed: int | None = None,
-                   record_stride: int = 1,
-                   min_activity: float | None = None) -> Trajectory:
+                   record_stride: int = 1) -> Trajectory:
     """Integrate one site from ``initial`` to ``t_end`` under a schedule.
 
     Classical RK4 with a fixed step and exact stopping at every shock time
@@ -111,10 +107,6 @@ def integrate_site(params: ModelParams,
     and the post-jump state recorded.  Negative roundoff is clamped to zero
     (and counted); a state that leaves the real, finite domain aborts with
     :class:`BlowUpError`.
-
-    ``min_activity``, when set, re-injects ``lam = max(lam, min_activity)``
-    after every step: a stand-in for the arbitrarily small perturbation that
-    kicks the system off the unstable rest state at high tension.
 
     Parameters
     ----------
@@ -152,8 +144,6 @@ def integrate_site(params: ModelParams,
             if alpha < -NEGATIVITY_CLAMP:
                 clamp_count += 1
             alpha = 0.0
-        if min_activity is not None and lam < min_activity:
-            lam = min_activity
         if not (math.isfinite(lam) and math.isfinite(alpha)):
             raise BlowUpError(t)
         return lam, alpha
@@ -161,10 +151,7 @@ def integrate_site(params: ModelParams,
     def jump(state, shocks):
         return state[0], state[1] + sum(s.amplitude for s in shocks)
 
-    lam = float(initial.lam)
-    if min_activity is not None and lam < min_activity:
-        lam = min_activity
-    records = drive(step, jump, (lam, float(initial.alpha)),
+    records = drive(step, jump, (float(initial.lam), float(initial.alpha)),
                     group_events(schedule, t_end, seed), t_end, dt,
                     record_stride)
 

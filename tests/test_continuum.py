@@ -182,15 +182,15 @@ class TestIntegratePde:
         assert traj.alpha[0].sum() * g.dx == pytest.approx(5.0, rel=1e-12)
 
     def test_frozen_activity_gives_exact_exponential(self):
-        # G == 0 freezes lam at zero, so h == theta and the tension mass
-        # decays exactly like A exp(-k1 t)
+        # zero activity stays zero (G(0) = 0, lambda_b = 0), so h == theta
+        # and the tension mass decays exactly like A exp(-k1 t)
         g = grid1d(20.0, 400)
-        p = replace(MASS, g_fn=lambda z: 0.0)
-        pp = PdeParams(model=p, D=0.1)
+        pp = PdeParams(model=MASS, D=0.1)
         traj = integrate_pde(pp, g, ExplicitSchedule([Shock(0.0, 5.0, 10.0)]),
                              None, t_end=20.0, dt=5e-3, record_stride=100)
+        assert np.all(traj.lam == 0.0)
         mass = traj.alpha.sum(axis=1) * g.dx
-        expected = 5.0 * np.exp(-(p.theta - p.eta) * traj.times)
+        expected = 5.0 * np.exp(-(MASS.theta - MASS.eta) * traj.times)
         assert np.max(np.abs(mass - expected) / expected) < 1e-6
 
     def test_snapshot_shapes_and_shock_record(self):

@@ -240,11 +240,6 @@ class TestParamsValidation:
         with pytest.raises(ValueError):
             SiteState(-1.0, 0.0)
 
-    def test_pluggable_forms(self):
-        p = ModelParams(g_fn=lambda z: 0.0)
-        assert self_reinforcement(1.0, p) == 0.0
-        assert peak_activity(p) is None
-
     def test_negative_p_accepted(self):
         # fast-decay variant: valid data, outside the invariant suites
         p = ModelParams(p=-0.5)

@@ -1,6 +1,7 @@
 """Network dynamics: graph construction, RHS, integration, spread analyses."""
+import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -45,19 +46,181 @@ class TestGridGraph:
             grid_graph(3, 3, ("hub", 9))
 
     def test_validation_rejects_diagonal(self):
-        V = np.eye(2, dtype=np.int8)
-        with pytest.raises(ValueError):
-            Graph(2, V, V)
+        loops = ([0, 1], [0, 1])
+        with pytest.raises(ValueError, match="self-loop"):
+            Graph(2, loops, loops)
 
     def test_validation_rejects_asymmetric_geography(self):
-        V = np.array([[0, 1], [0, 0]], dtype=np.int8)
-        with pytest.raises(ValueError):
-            Graph(2, V, np.zeros((2, 2), dtype=np.int8))
+        with pytest.raises(ValueError, match="symmetric"):
+            Graph(2, ([0], [1]), ([], []))
+
+    @pytest.mark.parametrize("edges, pair", [
+        (([0, 1], [1, 3]), "(1, 3)"), (([0, -1], [1, 0]), "(-1, 0)"),
+        (([0, 1, 0], [1, 0, 1]), "(0, 1)")])
+    def test_validation_names_the_bad_pair(self, edges, pair):
+        # two ids outside [0, 3), a repeat
+        with pytest.raises(ValueError) as err:
+            Graph(3, edges, edges)
+        assert str(err.value).startswith(f"edges_geo pair {pair} is a")
+
+    @pytest.mark.parametrize("edges", [([0.0, 1.0], [1.0, 0.0]),
+                                       ([0, 1], [1]), ([[0, 1]], [[1, 0]])])
+    def test_validation_rejects_non_integer_arrays(self, edges):
+        with pytest.raises(ValueError, match="1-D integer arrays"):
+            Graph(3, edges, edges)
+
+    def test_edges_stored_sorted_row_major(self):
+        g = Graph(3, ([2, 1, 0, 1], [1, 0, 1, 2]), ([2, 0], [0, 2]))
+        assert [e.tolist() for e in g.edges_geo] == [[0, 1, 1, 2],
+                                                     [1, 0, 2, 1]]
+        assert [e.tolist() for e in g.edges_social] == [[0, 2], [2, 0]]
+        assert g.indptr_geo.tolist() == [0, 1, 3, 4]
+
+    def test_stores_edge_lists_only(self):
+        # V and C are built on demand and never kept
+        assert [f.name for f in fields(Graph)] == [
+            "n", "edges_geo", "edges_social", "positions"]
+        g = grid_graph(3, 3, ("hub", 4))
+        assert g.V is not g.V and g.C.sum() == 16
+        assert not {"V", "C"} & set(vars(g))
 
     def test_bfs_distances(self):
         g = grid_graph(3, 3)
         d = g.distances_from(0)
         assert d[0] == 0 and d[1] == 1 and d[4] == 2 and d[8] == 4
+
+    @pytest.mark.parametrize("node", [-1, 9])
+    def test_bfs_seed_must_be_a_node(self, node):
+        # -1 would otherwise give the distances from node 8
+        with pytest.raises(ValueError, match="node id"):
+            grid_graph(3, 3).distances_from(node)
+
+    def test_classify_spread_seed_must_be_a_node(self):
+        g = grid_graph(1, 6)
+        traj = synthetic_trajectory(g, [3.0, 2.0, 1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(ValueError, match="node id"):
+            classify_spread(traj, g, -1)
+
+
+def dense_grid(rows, cols, social):
+    """V and C of a grid by the rules of the ``grid_graph`` docstring."""
+    n = rows * cols
+    V = np.zeros((n, n), dtype=np.int8)
+    for r in range(rows):
+        for c in range(cols):
+            s = r * cols + c
+            if c + 1 < cols:
+                V[s, s + 1] = V[s + 1, s] = 1
+            if r + 1 < rows:
+                V[s, s + cols] = V[s + cols, s] = 1
+    if social == "copy_of_V":
+        return V, V.copy()
+    C = np.zeros((n, n), dtype=np.int8)
+    for hub in social[1:]:
+        C[:, hub] = 1
+    if social[0] == "hub":
+        C[social[1], :] = 1
+    np.fill_diagonal(C, 0)
+    return V, C
+
+
+def dense_edge_lists(n, geo, social):
+    """V and C of ``graph_from_edge_lists`` by its docstring's rules."""
+    V = np.zeros((n, n), dtype=np.int8)
+    for i, j in geo:
+        V[i, j] = V[j, i] = 1
+    C = V.copy()
+    if social is not None:
+        C[:] = 0
+        for i, j in social:
+            C[i, j] = 1
+    np.fill_diagonal(V, 0)
+    np.fill_diagonal(C, 0)
+    return V, C
+
+
+@st.composite
+def grid_specs(draw):
+    rows, cols = draw(st.integers(1, 9)), draw(st.integers(2, 9))
+    nodes = st.integers(0, rows * cols - 1)
+    kind = draw(st.sampled_from(["copy_of_V", "hub", "two_hubs"]))
+    if kind == "copy_of_V":
+        return rows, cols, kind
+    h1 = draw(nodes)
+    if kind == "hub":
+        return rows, cols, (kind, h1)
+    return rows, cols, (kind, h1, draw(nodes.filter(lambda h: h != h1)))
+
+
+@st.composite
+def edge_list_specs(draw):
+    """Pairs with self-loops and repeats, in shuffled order."""
+    n = draw(st.integers(2, 12))
+    pairs = st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                     max_size=40)
+
+    def shuffled_with_repeats(base):
+        repeats = (draw(st.lists(st.sampled_from(base), max_size=10))
+                   if base else [])
+        return draw(st.permutations(base + repeats))
+
+    geo = shuffled_with_repeats(draw(pairs))
+    social = draw(st.none() | pairs)
+    return n, geo, None if social is None else shuffled_with_repeats(social)
+
+
+class TestEdgeRepresentation:
+    """A graph keeps only its edge lists, in the row-major order of
+    ``np.nonzero`` on the dense adjacency: the order in which every
+    per-node sum over them adds its terms."""
+
+    @staticmethod
+    def check(graph, V, C):
+        for edges, dense in ((graph.edges_geo, V), (graph.edges_social, C)):
+            for got, want in zip(edges, np.nonzero(dense)):
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(graph.degrees_geo, V.sum(axis=1))
+        np.testing.assert_array_equal(graph.degrees_social, C.sum(axis=1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(grid_specs())
+    def test_grid_graph_edges_are_nonzero_of_the_dense_rules(self, spec):
+        rows, cols, social = spec
+        self.check(grid_graph(rows, cols, social),
+                   *dense_grid(rows, cols, social))
+
+    @settings(max_examples=60, deadline=None)
+    @given(edge_list_specs())
+    def test_edge_lists_merge_into_nonzero_of_the_dense_rules(self, spec):
+        n, geo, social = spec
+        self.check(graph_from_edge_lists(n, geo, social),
+                   *dense_edge_lists(n, geo, social))
+
+    @pytest.mark.parametrize("pair", [(0, -1), (0, 3), (0, 1.5), (0, "1")])
+    def test_edge_list_rejects_a_node_id_outside_the_graph(self, pair):
+        # (0, -1) would otherwise link nodes 0 and 2
+        with pytest.raises(ValueError, match=r"edge \(0, .*\): node .* "
+                                             r"is not a node id in \[0, 3\)"):
+            graph_from_edge_lists(3, [(0, 1), pair])
+        with pytest.raises(ValueError, match="node id"):
+            graph_from_edge_lists(3, [(0, 1)], [(1, 2), pair])
+
+    def test_hundred_by_hundred_grid_runs_in_bounded_memory(self):
+        # 10^4 nodes: dense n x n int8 V and C alone would be 200 MB
+        tracemalloc.start()
+        try:
+            g = grid_graph(100, 100, ("hub", 5050))
+            traj = integrate_network(
+                g, SPREAD, ExplicitSchedule([Shock(0.0, 10.0, 5050)]),
+                (0.01, 0.0), t_end=10.0, dt=0.01, record_stride=250)
+            rep = classify_spread(traj, g, 5050)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert traj.times.size == 5                     # 1,000 RK4 steps
+        assert rep.n_activated >= 1
+        assert peak < 64 << 20
 
 
 class TestNetworkRhs:
@@ -147,7 +310,7 @@ def random_graphs(draw):
     np.fill_diagonal(C, 0)
     params = replace(BASE, eta=draw(couplings),
                      eta_alpha=draw(st.none() | couplings))
-    return Graph(n, upper + upper.T, C), params
+    return Graph(n, np.nonzero(upper + upper.T), np.nonzero(C)), params
 
 
 @st.composite
@@ -214,16 +377,21 @@ class TestEdgeListRhs:
             abs=1e-12)
 
     def test_first_call_allocates_no_dense_operator(self):
-        # dense float copies of V and C on 900 nodes would be 13 MB
-        g = grid_graph(30, 30, ("hub", 465))
+        # dense float copies of V and C on 900 nodes would be 13 MB, and
+        # the dense int8 V and C of the build 1.6 MB
         state = NetworkState(np.full(900, 0.5), np.full(900, 1.5))
-        tracemalloc.start()
-        try:
-            network_rhs(state, g, replace(BASE, eta=0.2, eta_alpha=0.13))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
+        for step in ("build", "rhs"):
+            tracemalloc.start()
+            try:
+                if step == "build":
+                    g = grid_graph(30, 30, ("hub", 465))
+                else:
+                    network_rhs(state, g,
+                                replace(BASE, eta=0.2, eta_alpha=0.13))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20, step
 
 
 class TestIntegrateNetwork:
@@ -275,9 +443,8 @@ class TestIntegrateNetwork:
         assert traj.lam.min() >= 0.0 and traj.alpha.min() >= 0.0
 
     def test_isolated_node_rejected_with_coupling(self):
-        V = np.zeros((3, 3), dtype=np.int8)
-        V[0, 1] = V[1, 0] = 1
-        g = Graph(3, V, V.copy())
+        edge = ([0, 1], [1, 0])               # node 2 has no edge
+        g = Graph(3, edge, edge)
         with pytest.raises(ValueError, match="isolated"):
             integrate_network(g, replace(BASE, eta=0.1), None, (0.0, 0.0),
                               t_end=1.0)
@@ -582,3 +749,19 @@ class TestEdgeListFiles:
         geo.write_text("0 1\n0 1 2\n")
         with pytest.raises(ValueError, match=":2"):
             graph_from_edge_files(3, geo)
+
+    @pytest.mark.parametrize("line, pair", [("0 -1", "(0, -1)"),
+                                            ("0 3", "(0, 3)")])
+    def test_node_id_outside_the_graph_names_the_pair(self, tmp_path, line,
+                                                      pair):
+        # "0 -1" would otherwise become the edge 0-2
+        from riotdyn import graph_from_edge_files
+        geo, social = tmp_path / "geo.txt", tmp_path / "social.txt"
+        geo.write_text("0 1\n" + line + "\n")
+        social.write_text(line + "\n")
+        message = re.escape(f"edge {pair}: node")
+        with pytest.raises(ValueError, match=message):
+            graph_from_edge_files(3, geo)
+        geo.write_text("0 1\n1 2\n")
+        with pytest.raises(ValueError, match=message):
+            graph_from_edge_files(3, geo, social)

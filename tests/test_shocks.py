@@ -1,11 +1,11 @@
-"""Shock schedules: realization, determinism, jump application."""
+"""Shock schedules: validation, realization, determinism."""
 import math
 
 import numpy as np
 import pytest
 
 from riotdyn import (AmplitudeLaw, ExplicitSchedule, PeriodicSchedule,
-                     PoissonSchedule, Shock, SiteState, apply_shock, realize)
+                     PoissonSchedule, Shock, realize)
 
 
 class TestShockValidation:
@@ -75,33 +75,6 @@ class TestRealize:
         gaps = np.diff([s.time for s in out])
         assert gaps.size >= 10_000
         assert abs(gaps.mean() - 2.0) / 2.0 <= 0.02
-
-
-class TestApplyShock:
-    def test_site_jump(self):
-        out = apply_shock(SiteState(0.0, 0.0), Shock(0.0, 5.0))
-        assert out == SiteState(0.0, 5.0)
-
-    def test_additivity(self):
-        out = apply_shock(SiteState(1.0, 1.2), Shock(0.0, 3.0))
-        assert out.alpha == pytest.approx(4.2)
-        assert out.lam == 1.0
-
-    def test_simultaneous_superposition(self):
-        state = SiteState(0.5, 0.0)
-        for amp in (2.0, 3.0):
-            state = apply_shock(state, Shock(1.0, amp))
-        assert state.alpha == pytest.approx(5.0)
-
-    def test_array_jump_conserves_elsewhere(self):
-        alpha = np.array([1.0, 2.0, 3.0])
-        out = apply_shock(alpha, Shock(0.0, 5.0, site=1))
-        assert out.tolist() == [1.0, 7.0, 3.0]
-        assert out.sum() == alpha.sum() + 5.0
-
-    def test_site_out_of_range(self):
-        with pytest.raises(ValueError, match="node id"):
-            apply_shock(np.zeros(3), Shock(0.0, 1.0, site=3))
 
 
 class TestAmplitudeLaw:
