@@ -43,8 +43,8 @@ def drive(step, jump, state, events, t_end: float, dt: float, stride: int):
     """Integrate an (activity, tension) ``state`` from t=0 to ``t_end``,
     stopping exactly at every shock time.
 
-    ``step(state, t, h)`` advances by ``h`` to time ``t``, clamping negative
-    roundoff and raising BlowUpError(t) on a non-finite state;
+    ``step(state, t, h)`` advances by ``h`` to time ``t``, raising
+    BlowUpError(t) on a non-finite state and then clamping negative roundoff;
     ``jump(state, shocks)`` returns the post-jump state without mutating its
     input.  ``events`` come from :func:`group_events` on [0, t_end].  Steps
     are ``dt`` long except the last of each segment, which ends on the event
@@ -96,22 +96,23 @@ def drive_arrays(move, jump, state, events, t_end: float, dt: float,
                  stride: int, rows: int = 1):
     """:func:`drive` for a pair of arrays advanced by ``move(lam, alpha, h)``.
 
-    After each move negative entries are clamped to zero, and a non-finite
-    entry raises BlowUpError.  Returns drive's four arrays and the number of
-    entries clamped from below -NEGATIVITY_CLAMP, a list with one int per
-    row of the arrays split into ``rows`` rows.
+    After each move a non-finite entry raises BlowUpError (the only finite
+    check of the array models), then negative entries are clamped to zero.
+    Returns drive's four arrays and a list with, for each of ``rows`` equal
+    row blocks of the arrays, the number of entries clamped below
+    -NEGATIVITY_CLAMP.
     """
     clamps = np.zeros(rows, dtype=int)
 
     def step(state, t, h):
         lam, alpha = move(state[0], state[1], h)
+        if not (np.isfinite(lam).all() and np.isfinite(alpha).all()):
+            raise BlowUpError(t)
         clamps[:] += (
             (lam < -NEGATIVITY_CLAMP).reshape(rows, -1).sum(axis=1)
             + (alpha < -NEGATIVITY_CLAMP).reshape(rows, -1).sum(axis=1))
         np.maximum(lam, 0.0, out=lam)
         np.maximum(alpha, 0.0, out=alpha)
-        if not (np.isfinite(lam).all() and np.isfinite(alpha).all()):
-            raise BlowUpError(t)
         return lam, alpha
 
     records = drive(step, jump, state, events, t_end, dt, stride)

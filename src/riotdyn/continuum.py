@@ -5,8 +5,9 @@ Local form (both fields diffuse, kappa = omega - eta):
     lam_t   = D lap(lam) + r(alpha) G(lam) - kappa lam
     alpha_t = D lap(alpha) - (h(lam) - eta) alpha + theta alpha_b
 
-Nonlocal form (tension couples through an interaction kernel J instead of
-diffusing; the activity equation gains the base-level source):
+Nonlocal form (tension couples through a top-hat or Gaussian interaction
+kernel J instead of diffusing; the activity equation gains the base-level
+source):
 
     lam_t   = D lap(lam) - kappa lam + r(alpha) G(lam) + omega lambda_b
     alpha_t = eta_bar * (row-normalized J) alpha - h(lam) alpha
@@ -29,7 +30,8 @@ with a least-squares speed estimate, and per-location peak statistics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -146,14 +148,14 @@ class FieldState:
 class NonlocalSpec:
     """Nonlocal tension coupling: strength, kernel, and variant.
 
-    kernel: ("tophat", radius), ("gaussian", width), or an explicit
-    (n, n) matrix of kernel samples J(x_i, x_j).
+    kernel: ("tophat", radius) or ("gaussian", width), with a finite
+    scale > 0.
     variant "averaging" uses the row-normalized kernel as a pure inflow;
     "convolution" uses kernel-minus-identity with the extra decay term.
     """
 
     eta_bar: float
-    kernel: tuple | np.ndarray = ("tophat", 1.0)
+    kernel: tuple = ("tophat", 1.0)
     normalize: bool = True
     variant: str = "averaging"
     drop_duplicate_decay: bool = False
@@ -163,6 +165,12 @@ class NonlocalSpec:
             raise ValueError("eta_bar must be finite and > 0")
         if self.variant not in ("averaging", "convolution"):
             raise ValueError(f"unknown nonlocal variant {self.variant!r}")
+        kind, scale = (self.kernel if isinstance(self.kernel, tuple)
+                       and len(self.kernel) == 2 else (None, None))
+        if kind not in ("tophat", "gaussian") or not (
+                isinstance(scale, numbers.Real) and 0.0 < scale < math.inf):
+            raise ValueError("kernel must be (tophat or gaussian, scale) with "
+                             f"a finite scale > 0, got {self.kernel!r}")
 
 
 @dataclass(frozen=True)
@@ -214,78 +222,76 @@ def kernel_matrix(grid: SpatialGrid, spec: NonlocalSpec) -> np.ndarray:
 
     Midpoint rule: K[i, j] = J(|x_i - x_j|) dx, zero outside the domain.
     With ``normalize`` each row is scaled to sum to one (the eta_bar / int J
-    prefactor).  A row with no support is rejected.
+    prefactor).
     """
     if grid.dimension != 1:
         raise NotImplementedError("nonlocal coupling is implemented in 1-D")
     x = grid.centers()
     dist = np.abs(x[:, None] - x[None, :])
-    if isinstance(spec.kernel, np.ndarray):
-        if (spec.kernel < 0.0).any():
-            raise ValueError("kernel samples must be nonnegative")
-        K = spec.kernel.astype(float) * grid.dx
-        if K.shape != (x.size, x.size):
-            raise ValueError("explicit kernel must be (cells, cells)")
+    kind, scale = spec.kernel
+    if kind == "tophat":
+        K = (dist <= scale).astype(float) * grid.dx
     else:
-        kind, scale = spec.kernel[0], float(spec.kernel[1])
-        if scale <= 0.0:
-            raise ValueError("kernel scale must be > 0")
-        if kind == "tophat":
-            K = (dist <= scale).astype(float) * grid.dx
-        elif kind == "gaussian":
-            K = np.exp(-0.5 * (dist / scale) ** 2) * grid.dx
-        else:
-            raise ValueError(f"unknown kernel {kind!r}")
-    row_sums = K.sum(axis=1)
-    if (row_sums <= 0.0).any():
-        bad = int(np.nonzero(row_sums <= 0.0)[0][0])
-        raise ValueError(f"kernel row {bad} has empty range of influence")
+        K = np.exp(-0.5 * (dist / scale) ** 2) * grid.dx
     if spec.normalize:
-        K = K / row_sums[:, None]
+        K = K / K.sum(axis=1)[:, None]
     return K
+
+
+def _make_rhs(grid: SpatialGrid, pp: PdeParams, K: np.ndarray | None = None):
+    """The local or nonlocal RHS as a function of (lam, alpha); the kernel
+    matrix and the constants are computed once here, not per call."""
+    m, spec = pp.model, pp.nonlocal_spec
+    D, dx, kappa = pp.D, grid.dx, m.kappa
+    inflow = m.theta * m.alpha_b
+    if spec is None:
+        def rhs(lam, alpha):
+            dlam = (D * laplacian(lam, dx)
+                    + transition_rate_arr(alpha, m)
+                    * self_reinforcement_arr(lam, m)
+                    - kappa * lam)
+            dalpha = (D * laplacian(alpha, dx)
+                      - (tension_decay_rate_arr(lam, m) - m.eta) * alpha
+                      + inflow)
+            return dlam, dalpha
+        return rhs
+
+    if K is None:
+        K = kernel_matrix(grid, spec)
+    eta_bar, source = spec.eta_bar, m.omega * m.lambda_b
+    averaging = spec.variant == "averaging"
+    duplicate_decay = not spec.drop_duplicate_decay
+
+    def rhs(lam, alpha):
+        dlam = (D * laplacian(lam, dx)
+                - kappa * lam
+                + transition_rate_arr(alpha, m) * self_reinforcement_arr(lam, m)
+                + source)
+        coupled = K @ alpha
+        decay = tension_decay_rate_arr(lam, m)
+        if averaging:
+            return dlam, eta_bar * coupled - decay * alpha + inflow
+        if duplicate_decay:
+            decay = decay + eta_bar
+        return dlam, eta_bar * (coupled - alpha) - decay * alpha + inflow
+    return rhs
 
 
 def pde_rhs_local(state: FieldState, grid: SpatialGrid,
                   pp: PdeParams) -> tuple[np.ndarray, np.ndarray]:
     """Right-hand side of the local-diffusion system."""
-    m = pp.model
-    lam, alpha = state.lam, state.alpha
-    dlam = (pp.D * laplacian(lam, grid.dx)
-            + transition_rate_arr(alpha, m) * self_reinforcement_arr(lam, m)
-            - m.kappa * lam)
-    dalpha = (pp.D * laplacian(alpha, grid.dx)
-              - (tension_decay_rate_arr(lam, m) - m.eta) * alpha
-              + m.theta * m.alpha_b)
-    return dlam, dalpha
+    if pp.nonlocal_spec is not None:
+        pp = replace(pp, nonlocal_spec=None)
+    return _make_rhs(grid, pp)(state.lam, state.alpha)
 
 
 def pde_rhs_nonlocal(state: FieldState, grid: SpatialGrid, pp: PdeParams,
                      K: np.ndarray | None = None
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Right-hand side of the nonlocal-tension system."""
-    spec = pp.nonlocal_spec
-    if spec is None:
+    if pp.nonlocal_spec is None:
         raise ValueError("nonlocal RHS needs pde params with a nonlocal spec")
-    if K is None:
-        K = kernel_matrix(grid, spec)
-    m = pp.model
-    lam, alpha = state.lam, state.alpha
-    dlam = (pp.D * laplacian(lam, grid.dx)
-            - m.kappa * lam
-            + transition_rate_arr(alpha, m) * self_reinforcement_arr(lam, m)
-            + m.omega * m.lambda_b)
-    coupled = K @ alpha
-    if spec.variant == "averaging":
-        dalpha = (spec.eta_bar * coupled
-                  - tension_decay_rate_arr(lam, m) * alpha
-                  + m.theta * m.alpha_b)
-    else:
-        decay = tension_decay_rate_arr(lam, m)
-        if not spec.drop_duplicate_decay:
-            decay = decay + spec.eta_bar
-        dalpha = (spec.eta_bar * (coupled - alpha) - decay * alpha
-                  + m.theta * m.alpha_b)
-    return dlam, dalpha
+    return _make_rhs(grid, pp, K)(state.lam, state.alpha)
 
 
 @dataclass(frozen=True)
@@ -356,18 +362,10 @@ def integrate_pde(pp: PdeParams, grid: SpatialGrid,
             f"initial fields must have shape {grid.shape}, got "
             f"{initial.lam.shape}")
 
-    if pp.nonlocal_spec is not None:
-        K = kernel_matrix(grid, pp.nonlocal_spec)
+    rhs = _make_rhs(grid, pp)
 
-        def rhs(lam, alpha):
-            return pde_rhs_nonlocal(FieldState(np.maximum(lam, 0.0),
-                                               np.maximum(alpha, 0.0)),
-                                    grid, pp, K)
-    else:
-        def rhs(lam, alpha):
-            return pde_rhs_local(FieldState(np.maximum(lam, 0.0),
-                                            np.maximum(alpha, 0.0)),
-                                 grid, pp)
+    def stage(lam, alpha):
+        return rhs(np.maximum(lam, 0.0), np.maximum(alpha, 0.0))
 
     def jump(state, shocks):
         alpha = state[1].copy()
@@ -377,7 +375,7 @@ def integrate_pde(pp: PdeParams, grid: SpatialGrid,
 
     events = group_events(schedule, t_end, seed)
     *records, clamps = drive_arrays(
-        partial(rk4, rhs), jump,
+        partial(rk4, stage), jump,
         (initial.lam.astype(float), initial.alpha.astype(float)),
         events, t_end, dt, record_stride)
     return FieldTrajectory(*records,
@@ -521,8 +519,6 @@ def find_bistability_boundary(params: ModelParams, a_lo: float, a_hi: float,
                               tol: float = 1e-4) -> float:
     """Empirical critical tension separating monostable from bistable,
     located by bisecting the steady-state classification."""
-    from dataclasses import replace
-
     def bistable(a: float) -> bool:
         return steady_states(replace(params, a=a)).classification == "bistable"
 

@@ -162,11 +162,12 @@ def grid_graph(rows: int, cols: int, social="copy_of_V") -> Graph:
     right = nodes[nodes % cols + 1 < cols]     # has a neighbour at s + 1
     down = nodes[:n - cols]                    # has a neighbour at s + cols
     geo = np.c_[np.r_[right, down], np.r_[right + 1, down + cols]]
-    spec = (social,) if isinstance(social, str) else tuple(social)
-    hubs = [int(h) for h in spec[1:]]
-    if spec == ("copy_of_V",):
+    spec = tuple(social) if isinstance(social, (tuple, list)) else (social,)
+    form = (spec[0] if spec and isinstance(spec[0], str) else None, len(spec))
+    if form == ("copy_of_V", 1):
         listen = None
-    elif (spec[0], len(hubs)) in (("hub", 1), ("two_hubs", 2)):
+    elif form in (("hub", 2), ("two_hubs", 3)):
+        hubs = [int(h) for h in spec[1:]]
         if not all(0 <= h < n for h in hubs):
             raise IndexError(f"hubs {hubs} out of range for {n} nodes")
         if len(set(hubs)) < len(hubs):

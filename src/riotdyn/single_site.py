@@ -104,9 +104,9 @@ def integrate_site(params: ModelParams,
 
     Classical RK4 with a fixed step and exact stopping at every shock time
     (a partial final step per segment); the tension jump is applied there
-    and the post-jump state recorded.  Negative roundoff is clamped to zero
-    (and counted); a state that leaves the real, finite domain aborts with
-    :class:`BlowUpError`.
+    and the post-jump state recorded.  A state that leaves the real, finite
+    domain aborts with :class:`BlowUpError`; after that check negative
+    roundoff is clamped to zero (and counted).
 
     Parameters
     ----------
@@ -136,6 +136,8 @@ def integrate_site(params: ModelParams,
                               f"t={t:.6g}: {exc}") from exc
         lam += h * (d1l + 2.0 * d2l + 2.0 * d3l + d4l) / 6.0
         alpha += h * (d1a + 2.0 * d2a + 2.0 * d3a + d4a) / 6.0
+        if not (math.isfinite(lam) and math.isfinite(alpha)):
+            raise BlowUpError(t)
         if lam < 0.0:
             if lam < -NEGATIVITY_CLAMP:
                 clamp_count += 1
@@ -144,8 +146,6 @@ def integrate_site(params: ModelParams,
             if alpha < -NEGATIVITY_CLAMP:
                 clamp_count += 1
             alpha = 0.0
-        if not (math.isfinite(lam) and math.isfinite(alpha)):
-            raise BlowUpError(t)
         return lam, alpha
 
     def jump(state, shocks):

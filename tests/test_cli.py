@@ -476,6 +476,30 @@ class TestMain:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["status"] == "aborted"
 
+    @pytest.mark.parametrize("params, initial", [
+        # an RK stage overflows to a non-finite field
+        ({"eta": 0.5, "theta": 0.1, "omega": 0.9},
+         {"alpha_field": {"kind": "uniform", "value": 1.7e+308}}),
+        # the first step ends at -inf, which a clamp ahead of the finite
+        # check would turn into 0
+        ({"z0": 2.0, "omega": 0.9, "theta": 0.7, "eta": 0.1},
+         {"lambda_field": {"kind": "uniform", "value": 1.0e+200}}),
+    ])
+    def test_pde_overflow_aborts_cleanly(self, tmp_path, capsys, params,
+                                         initial):
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(yaml.safe_dump(
+            {"model": "pde_local", "params": params,
+             "grid": {"length": 4.0, "cells": 16}, "initial": initial,
+             "numerics": {"dt": 0.005, "t_end": 0.1}}))
+        out = tmp_path / "o"
+        assert main(["run", str(cfg_path), "--output", str(out)]) == 3
+        assert "integration aborted" in capsys.readouterr().err
+        abort = json.loads((out / "abort.json").read_text())
+        assert abort["status"] == "aborted" and abort["time"] == 0.005
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"] == "aborted"
+
     @pytest.mark.parametrize("site", [500, -1])
     def test_network_shock_site_exit_code(self, tmp_path, capsys, site):
         cfg_path = tmp_path / "cfg.yaml"

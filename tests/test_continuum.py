@@ -4,13 +4,19 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from riotdyn import continuum
 from riotdyn import (ExplicitSchedule, FieldState, FieldTrajectory,
                      ModelParams, NonlocalSpec, PdeParams, Shock, SpatialGrid,
                      cfl_time_step, find_bistability_boundary, integrate_pde,
                      kernel_matrix, laplacian, mass_diagnostics, peak_activity,
                      pde_rhs_local, pde_rhs_nonlocal, peak_statistics,
                      save_field_trajectory, steady_states, track_front)
+from riotdyn.model import (self_reinforcement_arr, tension_decay_rate_arr,
+                           transition_rate_arr)
 
 # regime-classification family (the bistable/monostable front presets)
 REGIME = ModelParams(omega=0.2, theta=0.05, eta=0.01, p=0.5, z0=10.0,
@@ -81,17 +87,13 @@ class TestKernelMatrix:
         K = kernel_matrix(g, NonlocalSpec(0.5, ("tophat", 2.0)))
         np.testing.assert_allclose(K.sum(axis=1), 1.0)
 
-    def test_explicit_kernel_shape_checked(self):
-        g = grid1d(8.0, 8)
-        with pytest.raises(ValueError):
-            kernel_matrix(g, NonlocalSpec(0.5, np.ones((4, 4))))
-
-    def test_empty_row_rejected(self):
-        g = grid1d(8.0, 8)
-        bad = np.ones((8, 8))
-        bad[3, :] = 0.0
-        with pytest.raises(ValueError, match="range of influence"):
-            kernel_matrix(g, NonlocalSpec(0.5, bad))
+    @pytest.mark.parametrize("kernel", [
+        np.ones((8, 8)), ("box", 1.0), ("tophat", 0.0), ("gaussian", -1.0),
+        ("tophat", math.inf), ("gaussian", math.nan), ("tophat", "1.0"),
+        ("tophat",)])
+    def test_spec_rejects_a_bad_kernel_when_built(self, kernel):
+        with pytest.raises(ValueError, match="kernel must be"):
+            NonlocalSpec(0.5, kernel)
 
 
 class TestRhs:
@@ -139,6 +141,123 @@ class TestRhs:
         _, dalpha = pde_rhs_nonlocal(state, g, pp)
         np.testing.assert_allclose(dalpha, (0.5 - MASS.theta) * 3.0,
                                    atol=1e-12)
+
+
+def reference_rhs_local(state, grid, pp):
+    """Reference local RHS, evaluated term by term in the order the
+    recorded output bytes depend on."""
+    m = pp.model
+    lam, alpha = state.lam, state.alpha
+    dlam = (pp.D * laplacian(lam, grid.dx)
+            + transition_rate_arr(alpha, m) * self_reinforcement_arr(lam, m)
+            - m.kappa * lam)
+    dalpha = (pp.D * laplacian(alpha, grid.dx)
+              - (tension_decay_rate_arr(lam, m) - m.eta) * alpha
+              + m.theta * m.alpha_b)
+    return dlam, dalpha
+
+
+def reference_rhs_nonlocal(state, grid, pp, K):
+    """Reference nonlocal RHS, evaluated term by term in the order the
+    recorded output bytes depend on."""
+    spec = pp.nonlocal_spec
+    m = pp.model
+    lam, alpha = state.lam, state.alpha
+    dlam = (pp.D * laplacian(lam, grid.dx)
+            - m.kappa * lam
+            + transition_rate_arr(alpha, m) * self_reinforcement_arr(lam, m)
+            + m.omega * m.lambda_b)
+    coupled = K @ alpha
+    if spec.variant == "averaging":
+        dalpha = (spec.eta_bar * coupled
+                  - tension_decay_rate_arr(lam, m) * alpha
+                  + m.theta * m.alpha_b)
+    else:
+        decay = tension_decay_rate_arr(lam, m)
+        if not spec.drop_duplicate_decay:
+            decay = decay + spec.eta_bar
+        dalpha = (spec.eta_bar * (coupled - alpha) - decay * alpha
+                  + m.theta * m.alpha_b)
+    return dlam, dalpha
+
+
+RHS_MODELS = (MASS, REGIME,
+              ModelParams(omega=0.2, theta=0.05, eta=0.198, p=0.7, z0=10.0,
+                          beta=1.0, a=100.0),
+              ModelParams(omega=0.9, theta=0.7, eta=0.1, z0=2.0,
+                          lambda_b=0.03, alpha_b=0.4, decay_form="exponential"))
+FIELD_VALUES = st.floats(0.0, 1e4, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def rhs_cases(draw, dimension):
+    """A grid, PDE params and a nonnegative state on it."""
+    dx = draw(st.sampled_from([0.05, 0.25, 1.0]))
+    cells = tuple(draw(st.integers(8, 40 if dimension == 1 else 12))
+                  for _ in range(dimension))
+    grid = SpatialGrid(tuple(n * dx for n in cells), cells)
+    spec = None
+    if dimension == 1 and draw(st.booleans()):
+        kind = draw(st.sampled_from(["tophat", "gaussian"]))
+        spec = NonlocalSpec(
+            draw(st.floats(0.01, 2.0)), (kind, draw(st.floats(0.01, 5.0))),
+            draw(st.booleans()),
+            draw(st.sampled_from(["averaging", "convolution"])),
+            draw(st.booleans()))
+    pp = PdeParams(draw(st.sampled_from(RHS_MODELS)),
+                   draw(st.sampled_from([0.1, 0.37, 1.0])), spec)
+    lam, alpha = (draw(arrays(float, grid.shape, elements=FIELD_VALUES))
+                  for _ in range(2))
+    return grid, pp, FieldState(lam, alpha)
+
+
+class TestRhsBuiltOnce:
+    @settings(max_examples=80)
+    @given(st.one_of(rhs_cases(1), rhs_cases(2)))
+    def test_local_rhs_keeps_its_bits(self, case):
+        # a nonlocal spec in the params is ignored
+        grid, pp, state = case
+        for got, want in zip(pde_rhs_local(state, grid, pp),
+                             reference_rhs_local(state, grid, pp)):
+            np.testing.assert_array_equal(got, want, strict=True)
+
+    @settings(max_examples=80)
+    @given(rhs_cases(1))
+    def test_nonlocal_rhs_keeps_its_bits(self, case):
+        grid, pp, state = case
+        if pp.nonlocal_spec is None:
+            pp = replace(pp, nonlocal_spec=NonlocalSpec(0.3))
+        K = kernel_matrix(grid, pp.nonlocal_spec)
+        want = reference_rhs_nonlocal(state, grid, pp, K)
+        for rhs in (pde_rhs_nonlocal(state, grid, pp),
+                    pde_rhs_nonlocal(state, grid, pp, K)):
+            for got, expected in zip(rhs, want):
+                np.testing.assert_array_equal(got, expected, strict=True)
+
+    @pytest.mark.parametrize("spec", [None, NonlocalSpec(0.2, ("gaussian",
+                                                               1.0))])
+    def test_field_states_do_not_grow_with_the_steps(self, monkeypatch,
+                                                     spec):
+        built = []
+        check = FieldState.__post_init__
+
+        def counted(state):
+            built.append(state)
+            check(state)
+
+        monkeypatch.setattr(FieldState, "__post_init__", counted)
+        g = grid1d(8.0, 32)
+        pp = PdeParams(model=MASS, D=0.1, nonlocal_spec=spec)
+        init = FieldState(np.full(32, 0.5), np.full(32, 1.0))
+        counts = []
+        for t_end in (0.1, 1.0):
+            built.clear()
+            integrate_pde(pp, g, ExplicitSchedule([Shock(0.05, 2.0, 3.0)]),
+                          init, t_end=t_end, dt=0.01)
+            counts.append(len(built))
+        assert counts == [0, 0]
+        integrate_pde(pp, g, None, None, t_end=0.1, dt=0.01)
+        assert len(built) == 1       # the zero initial fields
 
 
 class TestPdeParams:
@@ -367,19 +486,18 @@ class TestPeakStatistics:
 
 
 class TestNonlocalIntegration:
-    def test_tiny_tophat_matches_self_coupling(self):
+    def test_tiny_tophat_matches_self_coupling(self, monkeypatch):
         # below the cell size the kernel matrix is the identity, so the
         # nonlocal run coincides with the self-coupling limit exactly
         g = grid1d(16.0, 32)
-        base = NonlocalSpec(0.05, ("tophat", 0.2))          # radius < dx
-        ident = NonlocalSpec(0.05, np.eye(32) / g.dx)
+        pp = PdeParams(model=MASS, D=0.5, nonlocal_spec=NonlocalSpec(
+            0.05, ("tophat", 0.2)))                          # radius < dx
         init = FieldState(np.full(32, 0.5), np.full(32, 1.0))
-        runs = []
-        for spec in (base, ident):
-            pp = PdeParams(model=MASS, D=0.5, nonlocal_spec=spec)
-            runs.append(integrate_pde(pp, g, None, init, t_end=2.0,
-                                      record_stride=10))
-        np.testing.assert_allclose(runs[0].alpha, runs[1].alpha, atol=1e-12)
+        base = integrate_pde(pp, g, None, init, t_end=2.0, record_stride=10)
+        monkeypatch.setattr(continuum, "kernel_matrix",
+                            lambda grid, spec: np.eye(32))
+        ident = integrate_pde(pp, g, None, init, t_end=2.0, record_stride=10)
+        np.testing.assert_allclose(base.alpha, ident.alpha, atol=1e-12)
 
     def test_wider_kernel_departs_from_self_coupling(self):
         g = grid1d(16.0, 32)
@@ -393,12 +511,6 @@ class TestNonlocalIntegration:
             fields[radius] = integrate_pde(pp, g, None, init, t_end=2.0,
                                            record_stride=10).alpha[-1]
         assert np.max(np.abs(fields[0.2] - fields[2.0])) > 1e-4
-
-    def test_negative_explicit_kernel_rejected(self):
-        g = grid1d(16.0, 32)
-        bad = -np.ones((32, 32))
-        with pytest.raises(ValueError, match="nonnegative"):
-            kernel_matrix(g, NonlocalSpec(0.5, bad))
 
 
 class TestSpatialConvergence:

@@ -5,6 +5,7 @@ import pytest
 from riotdyn import (BlowUpError, ExplicitSchedule, FieldState, ModelParams,
                      PdeParams, Shock, SiteState, SpatialGrid, grid_graph,
                      integrate_network, integrate_pde, integrate_site)
+from riotdyn import single_site
 from riotdyn._core import drive_arrays
 
 from conftest import BASE
@@ -95,3 +96,23 @@ def test_non_finite_row_stops_the_run():
     state = (np.zeros(4), np.zeros(4))
     with pytest.raises(BlowUpError):
         drive_arrays(move, None, state, [], 1.0, 0.5, 1, rows=2)
+
+
+@pytest.mark.parametrize("field", [0, 1])
+def test_step_to_minus_infinity_stops_the_run(field):
+    # the finite check comes before the clamp, which would turn -inf into 0
+    def move(lam, alpha, h):
+        out = [lam.copy(), alpha.copy()]
+        out[field][2] = -np.inf
+        return tuple(out)
+
+    state = (np.zeros(4), np.zeros(4))
+    with pytest.raises(BlowUpError):
+        drive_arrays(move, None, state, [], 1.0, 0.5, 1)
+
+
+def test_site_step_to_minus_infinity_stops_the_run(monkeypatch):
+    monkeypatch.setattr(single_site, "_make_rhs",
+                        lambda params: lambda lam, alpha: (-np.inf, 0.0))
+    with pytest.raises(BlowUpError):
+        integrate_site(BASE, None, SiteState(0.3, 0.5), T_END, dt=DT)

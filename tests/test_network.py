@@ -45,6 +45,15 @@ class TestGridGraph:
         with pytest.raises(IndexError):
             grid_graph(3, 3, ("hub", 9))
 
+    @pytest.mark.parametrize("social", [
+        "star", ("hub",), ("hub", 1, 2), ("two_hubs", 1), ("copy_of_V", 1),
+        5, np.ones((4, 4), dtype=np.int8), np.ones((1, 4))])
+    def test_unknown_social_spec_rejected(self, social):
+        # the form is checked before any hub id goes through int(), so a
+        # 0/1 matrix gets the same ValueError as any other unknown spec
+        with pytest.raises(ValueError, match="unknown social spec"):
+            grid_graph(2, 2, social)
+
     def test_validation_rejects_diagonal(self):
         loops = ([0, 1], [0, 1])
         with pytest.raises(ValueError, match="self-loop"):
