@@ -96,26 +96,27 @@ def drive_arrays(move, jump, state, events, t_end: float, dt: float,
                  stride: int, rows: int = 1):
     """:func:`drive` for a pair of arrays advanced by ``move(lam, alpha, h)``.
 
-    After each move a non-finite entry raises BlowUpError (the only finite
-    check of the array models), then negative entries are clamped to zero.
-    Returns drive's four arrays and a list with, for each of ``rows`` equal
-    row blocks of the arrays, the number of entries clamped below
-    -NEGATIVITY_CLAMP.
+    After each move an entry that is NaN or inf (seen in an array's min or
+    max) raises BlowUpError, the array models' only finite check, with
+    numpy's overflow warnings silenced; then negative entries are clamped to
+    zero.  Returns drive's four arrays and a list with, for each of ``rows``
+    equal row blocks, the number of entries clamped below -NEGATIVITY_CLAMP.
     """
     clamps = np.zeros(rows, dtype=int)
 
     def step(state, t, h):
-        lam, alpha = move(state[0], state[1], h)
-        if not (np.isfinite(lam).all() and np.isfinite(alpha).all()):
+        pair = move(state[0], state[1], h)
+        lows = [a.min() for a in pair]
+        if not all(map(math.isfinite, lows + [a.max() for a in pair])):
             raise BlowUpError(t)
-        clamps[:] += (
-            (lam < -NEGATIVITY_CLAMP).reshape(rows, -1).sum(axis=1)
-            + (alpha < -NEGATIVITY_CLAMP).reshape(rows, -1).sum(axis=1))
-        np.maximum(lam, 0.0, out=lam)
-        np.maximum(alpha, 0.0, out=alpha)
-        return lam, alpha
+        for a, low in zip(pair, lows):
+            if low < 0.0:
+                clamps[:] += (a < -NEGATIVITY_CLAMP).reshape(rows, -1).sum(1)
+                np.maximum(a, 0.0, out=a)
+        return pair
 
-    records = drive(step, jump, state, events, t_end, dt, stride)
+    with np.errstate(over="ignore", invalid="ignore"):
+        records = drive(step, jump, state, events, t_end, dt, stride)
     return records + (clamps.tolist(),)
 
 

@@ -788,8 +788,8 @@ def _set_by_path(data: dict, dotted: str, value) -> None:
 def sweep(cfg: RunConfig, axis: str, values, output_dir=None) -> list[dict]:
     """Run one independent job per axis value and write a combined table.
 
-    Rows keep the input value ordering; a failed run marks its row and the
-    remaining runs still complete.
+    Rows keep the input value ordering; a run that raises SimulationError
+    or ConfigError marks its row failed, and the remaining runs complete.
     """
     values = list(values)
     if not values:
@@ -803,7 +803,7 @@ def sweep(cfg: RunConfig, axis: str, values, output_dir=None) -> list[dict]:
         row: dict = {"axis": axis, "value": value}
         try:
             row.update(run(parse_config(data), out / f"{i:03d}").summary)
-        except Exception as exc:  # noqa: BLE001 - recorded per row
+        except (SimulationError, ConfigError) as exc:
             row["status"] = "failed"
             row["error"] = str(exc)
         summaries.append(row)

@@ -207,14 +207,20 @@ def cfl_time_step(grid: SpatialGrid, pp: PdeParams) -> float:
 
 
 def laplacian(u: np.ndarray, dx: float) -> np.ndarray:
-    """Second-order central-difference Laplacian with zero-flux boundaries."""
-    p = np.pad(u, 1, mode="edge")
-    if u.ndim == 1:
-        lap = p[:-2] + p[2:] - 2.0 * u
-    else:
-        lap = (p[:-2, 1:-1] + p[2:, 1:-1] + p[1:-1, :-2] + p[1:-1, 2:]
-               - 4.0 * u)
-    return lap / (dx * dx)
+    """Second-order central-difference Laplacian with zero-flux boundaries
+    (an edge cell stands in for its missing neighbour), in one new array."""
+    lap = np.empty_like(u)
+    np.add(u[:-2], u[2:], out=lap[1:-1])
+    np.add(u[:1], u[1:2], out=lap[:1])
+    np.add(u[-2:-1], u[-1:], out=lap[-1:])
+    if u.ndim == 2:
+        lap[:, 1:] += u[:, :-1]
+        lap[:, :1] += u[:, :1]
+        lap[:, :-1] += u[:, 1:]
+        lap[:, -1:] += u[:, -1:]
+    lap -= 2.0 * u.ndim * u
+    lap /= dx * dx
+    return lap
 
 
 def kernel_matrix(grid: SpatialGrid, spec: NonlocalSpec) -> np.ndarray:
@@ -222,19 +228,24 @@ def kernel_matrix(grid: SpatialGrid, spec: NonlocalSpec) -> np.ndarray:
 
     Midpoint rule: K[i, j] = J(|x_i - x_j|) dx, zero outside the domain.
     With ``normalize`` each row is scaled to sum to one (the eta_bar / int J
-    prefactor).
+    prefactor); K is built in place, in one n x n buffer.
     """
     if grid.dimension != 1:
         raise NotImplementedError("nonlocal coupling is implemented in 1-D")
     x = grid.centers()
-    dist = np.abs(x[:, None] - x[None, :])
+    K = np.subtract.outer(x, x)
+    np.abs(K, out=K)
     kind, scale = spec.kernel
     if kind == "tophat":
-        K = (dist <= scale).astype(float) * grid.dx
+        np.less_equal(K, scale, out=K)
     else:
-        K = np.exp(-0.5 * (dist / scale) ** 2) * grid.dx
+        K /= scale
+        np.square(K, out=K)
+        K *= -0.5
+        np.exp(K, out=K)
+    K *= grid.dx
     if spec.normalize:
-        K = K / K.sum(axis=1)[:, None]
+        K /= K.sum(axis=1)[:, None]
     return K
 
 
@@ -461,7 +472,6 @@ class SteadyStatesReport:
     classification: str
     instability_lhs: float
     instability_rhs: float
-    positivity_ok: bool
     positivity_limit: float | None
 
 
@@ -511,8 +521,7 @@ def steady_states(params: ModelParams) -> SteadyStatesReport:
     lhs = transition_rate(alpha1, params) * params.z0 + params.eta
     rhs = tension_decay_rate(0.0, params) + params.kappa
     classification = "monostable" if lhs > rhs else "bistable"
-    return SteadyStatesReport(states, classification, lhs, rhs,
-                              positivity_ok=True, positivity_limit=limit)
+    return SteadyStatesReport(states, classification, lhs, rhs, limit)
 
 
 def find_bistability_boundary(params: ModelParams, a_lo: float, a_hi: float,

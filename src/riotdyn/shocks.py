@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -29,7 +29,7 @@ __all__ = [
     "check_node_site",
 ]
 
-Site = Union[int, float, tuple, None]
+Site = int | float | tuple | None
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,7 @@ class PoissonSchedule:
             raise ValueError(f"rate must be finite and > 0, got {self.rate}")
 
 
-ShockSchedule = Union[ExplicitSchedule, PeriodicSchedule, PoissonSchedule, None]
+ShockSchedule = ExplicitSchedule | PeriodicSchedule | PoissonSchedule | None
 
 
 def realize(schedule: ShockSchedule, horizon: float,

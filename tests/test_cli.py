@@ -3,6 +3,7 @@ import hashlib
 import json
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,12 +12,31 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from riotdyn import ConfigError, NoExcitedStateError, SimulationError
+from riotdyn import (BlowUpError, ConfigError, NoExcitedStateError,
+                     SimulationError)
+from riotdyn import cli
 from riotdyn.cli import (CONFIG, EXPERIMENTS, PRESETS, REQUIRED, RunConfig,
                          analyze, emit_config, main, parse_config, run,
                          sweep)
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+
+# PDE configs whose first step overflows (params, initial fields)
+OVERFLOW_CASES = [
+    # an RK stage overflows to a non-finite field
+    ({"eta": 0.5, "theta": 0.1, "omega": 0.9},
+     {"alpha_field": {"kind": "uniform", "value": 1.7e+308}}),
+    # the first step ends at -inf, which a clamp ahead of the finite
+    # check would turn into 0
+    ({"z0": 2.0, "omega": 0.9, "theta": 0.7, "eta": 0.1},
+     {"lambda_field": {"kind": "uniform", "value": 1.0e+200}}),
+]
+
+
+def overflow_config(params, initial):
+    return {"model": "pde_local", "params": params,
+            "grid": {"length": 4.0, "cells": 16}, "initial": initial,
+            "numerics": {"dt": 0.005, "t_end": 0.1}}
 
 NONLOCAL_CONFIG = {
     "model": "pde_nonlocal",
@@ -416,6 +436,28 @@ class TestSweep:
                                     "periodic or poisson schedule with at "
                                     "least 50 events up to numerics.t_end")
 
+    @pytest.mark.parametrize("error", [SimulationError("no excited state"),
+                                       ConfigError("bad value")])
+    def test_run_and_config_errors_make_failed_rows(self, tmp_path,
+                                                    monkeypatch, error):
+        def failing_run(cfg, out):
+            raise error
+
+        cfg = parse_config({"preset": "fig-nullcline"})
+        monkeypatch.setattr(cli, "run", failing_run)
+        rows = sweep(cfg, "params.omega", [0.4, 0.3], tmp_path / "s")
+        assert [row["status"] for row in rows] == ["failed", "failed"]
+        assert [row["error"] for row in rows] == [str(error)] * 2
+
+    def test_program_bug_propagates(self, tmp_path, monkeypatch):
+        def buggy_run(cfg, out):
+            raise TypeError("unsupported operand")
+
+        cfg = parse_config({"preset": "fig-nullcline"})
+        monkeypatch.setattr(cli, "run", buggy_run)
+        with pytest.raises(TypeError, match="unsupported operand"):
+            sweep(cfg, "params.omega", [0.4], tmp_path / "s")
+
     def test_empty_values_rejected(self, tmp_path):
         cfg = parse_config({"preset": "fig-nullcline"})
         with pytest.raises(ConfigError):
@@ -476,22 +518,11 @@ class TestMain:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["status"] == "aborted"
 
-    @pytest.mark.parametrize("params, initial", [
-        # an RK stage overflows to a non-finite field
-        ({"eta": 0.5, "theta": 0.1, "omega": 0.9},
-         {"alpha_field": {"kind": "uniform", "value": 1.7e+308}}),
-        # the first step ends at -inf, which a clamp ahead of the finite
-        # check would turn into 0
-        ({"z0": 2.0, "omega": 0.9, "theta": 0.7, "eta": 0.1},
-         {"lambda_field": {"kind": "uniform", "value": 1.0e+200}}),
-    ])
+    @pytest.mark.parametrize("params, initial", OVERFLOW_CASES)
     def test_pde_overflow_aborts_cleanly(self, tmp_path, capsys, params,
                                          initial):
         cfg_path = tmp_path / "cfg.yaml"
-        cfg_path.write_text(yaml.safe_dump(
-            {"model": "pde_local", "params": params,
-             "grid": {"length": 4.0, "cells": 16}, "initial": initial,
-             "numerics": {"dt": 0.005, "t_end": 0.1}}))
+        cfg_path.write_text(yaml.safe_dump(overflow_config(params, initial)))
         out = tmp_path / "o"
         assert main(["run", str(cfg_path), "--output", str(out)]) == 3
         assert "integration aborted" in capsys.readouterr().err
@@ -499,6 +530,17 @@ class TestMain:
         assert abort["status"] == "aborted" and abort["time"] == 0.005
         summary = json.loads((out / "summary.json").read_text())
         assert summary["status"] == "aborted"
+
+    @pytest.mark.parametrize("params, initial", OVERFLOW_CASES)
+    def test_pde_overflow_raises_no_numpy_warning(self, tmp_path, params,
+                                                  initial):
+        # the finite check decides; numpy's overflow warnings stay quiet
+        cfg = parse_config(overflow_config(params, initial))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(BlowUpError):
+                run(cfg, tmp_path / "o")
+        assert [w for w in caught if w.category is RuntimeWarning] == []
 
     @pytest.mark.parametrize("site", [500, -1])
     def test_network_shock_site_exit_code(self, tmp_path, capsys, site):

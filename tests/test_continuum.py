@@ -1,5 +1,6 @@
 """Continuum solver: stencils, kernels, integration, and the analyses."""
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -49,7 +50,48 @@ class TestSpatialGrid:
         assert g.cell_index(25.0) == (399,)   # clamped into the domain
 
 
+def padded_laplacian(u, dx):
+    """The edge-padded form of the Laplacian, whose bits the slice stencil
+    keeps."""
+    p = np.pad(u, 1, mode="edge")
+    if u.ndim == 1:
+        lap = p[:-2] + p[2:] - 2.0 * u
+    else:
+        lap = (p[:-2, 1:-1] + p[2:, 1:-1] + p[1:-1, :-2] + p[1:-1, 2:]
+               - 4.0 * u)
+    return lap / (dx * dx)
+
+
+def reference_kernel_matrix(grid, spec):
+    """The kernel matrix built from whole-array temporaries, whose bits the
+    in-place build keeps."""
+    x = grid.centers()
+    dist = np.abs(x[:, None] - x[None, :])
+    kind, scale = spec.kernel
+    if kind == "tophat":
+        K = (dist <= scale).astype(float) * grid.dx
+    else:
+        K = np.exp(-0.5 * (dist / scale) ** 2) * grid.dx
+    if spec.normalize:
+        K = K / K.sum(axis=1)[:, None]
+    return K
+
+
+def assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 class TestLaplacian:
+    @settings(max_examples=100)
+    @given(st.one_of(st.tuples(st.integers(8, 64)),
+                     st.tuples(st.integers(8, 64), st.integers(8, 64)))
+           .flatmap(lambda shape: arrays(float, shape,
+                                         elements=st.floats(1e-5, 1e5))),
+           st.floats(0.01, 2.0))
+    def test_slice_stencil_keeps_the_padded_bits(self, u, dx):
+        assert_same_bytes(laplacian(u, dx), padded_laplacian(u, dx))
+
     def test_uniform_field_is_flat(self):
         assert np.all(laplacian(np.full(32, 3.7), 0.1) == 0.0)
         assert np.all(laplacian(np.full((8, 8), 1.2), 0.1) == 0.0)
@@ -86,6 +128,30 @@ class TestKernelMatrix:
         g = grid1d(20.0, 64)
         K = kernel_matrix(g, NonlocalSpec(0.5, ("tophat", 2.0)))
         np.testing.assert_allclose(K.sum(axis=1), 1.0)
+
+    @given(st.integers(8, 80), st.floats(0.1, 50.0),
+           st.sampled_from(["tophat", "gaussian"]), st.floats(0.01, 10.0),
+           st.booleans())
+    def test_in_place_build_keeps_the_bits(self, cells, length, kind, scale,
+                                           normalize):
+        g = grid1d(length, cells)
+        spec = NonlocalSpec(0.5, (kind, scale), normalize)
+        assert_same_bytes(kernel_matrix(g, spec),
+                          reference_kernel_matrix(g, spec))
+
+    @pytest.mark.parametrize("kernel", [("tophat", 1.0), ("gaussian", 0.8)])
+    def test_one_matrix_of_memory(self, kernel):
+        # the 401-cell nonlocal run's kernel is built in its own n x n
+        # buffer; a second full-size temporary would break the bound
+        n = 401
+        g = grid1d(20.0, n)
+        tracemalloc.start()
+        try:
+            kernel_matrix(g, NonlocalSpec(0.2, kernel))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * n * n * 8
 
     @pytest.mark.parametrize("kernel", [
         np.ones((8, 8)), ("box", 1.0), ("tophat", 0.0), ("gaussian", -1.0),

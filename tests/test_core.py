@@ -111,6 +111,55 @@ def test_step_to_minus_infinity_stops_the_run(field):
         drive_arrays(move, None, state, [], 1.0, 0.5, 1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", [0, 1])
+def test_any_non_finite_entry_stops_the_run_before_a_clamp(field, bad):
+    # the other field goes negative at the same step: nothing is clamped
+    # or counted before the abort
+    seen = []
+
+    def move(lam, alpha, h):
+        out = [lam - 1.0, alpha - 1.0]
+        out[field][5] = bad
+        seen.append(out)
+        return tuple(out)
+
+    state = (np.zeros(8), np.zeros(8))
+    with pytest.raises(BlowUpError) as info:
+        drive_arrays(move, None, state, [], 1.0, 0.5, 1)
+    assert info.value.time == 0.5
+    other = seen[-1][1 - field]
+    assert (other == -1.0).all()
+
+
+def test_negative_zero_is_neither_counted_nor_changed():
+    def move(lam, alpha, h):
+        return np.full_like(lam, -0.0), alpha * 1.0
+
+    state = (np.ones(6), np.full(6, -0.0))
+    _, lams, alphas, _, clamps = drive_arrays(move, None, state, [],
+                                              1.0, 0.5, 1, rows=3)
+    assert clamps == [0, 0, 0]
+    assert np.signbit(lams[1:]).all() and (lams[1:] == 0.0).all()
+    assert np.signbit(alphas).all()
+
+
+def test_clamps_counted_per_row_only_below_the_roundoff_floor():
+    # row 0 dips by roundoff, row 1 by a true negative, row 2 not at all;
+    # all three rows of both fields end clamped to zero
+    dips = np.repeat([-1e-13, -1.0, 0.0], 2)
+
+    def move(lam, alpha, h):
+        return lam * 0.0 + dips, alpha * 0.0 + 2 * dips
+
+    state = (np.ones(6), np.ones(6))
+    _, lams, alphas, _, clamps = drive_arrays(move, None, state, [],
+                                              1.5, 0.5, 1, rows=3)
+    assert clamps == [0, 12, 0]
+    assert (lams[1:] == 0.0).all() and (alphas[1:] == 0.0).all()
+    assert not np.signbit(lams[1:, :4]).any()
+
+
 def test_site_step_to_minus_infinity_stops_the_run(monkeypatch):
     monkeypatch.setattr(single_site, "_make_rhs",
                         lambda params: lambda lam, alpha: (-np.inf, 0.0))

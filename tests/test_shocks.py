@@ -1,5 +1,8 @@
 """Shock schedules: validation, realization, determinism."""
+import gc
+import importlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -91,3 +94,27 @@ class TestAmplitudeLaw:
                       2e4, seed=5)
         amps = np.array([s.amplitude for s in out])
         assert abs(amps.mean() - 2.5) / 2.5 <= 0.05
+
+
+def test_reimports_leave_no_schedule_classes_behind():
+    # a set-up that purges riotdyn and imports it afresh, then puts the
+    # original modules back, must let the fresh copies go; an alias held
+    # in typing's cache (a typing.Union of the schedule classes) keeps them
+    def ours(name):
+        return name == "riotdyn" or name.startswith("riotdyn.")
+
+    saved = {name: mod for name, mod in sys.modules.items() if ours(name)}
+    try:
+        for _ in range(5):
+            for name in [n for n in sys.modules if ours(n)]:
+                del sys.modules[name]
+            importlib.import_module("riotdyn")
+    finally:
+        for name in [n for n in sys.modules if ours(n)]:
+            del sys.modules[name]
+        sys.modules.update(saved)
+    gc.collect()
+    alive = [obj for obj in gc.get_objects()
+             if isinstance(obj, type) and obj.__name__ == "ExplicitSchedule"
+             and obj.__module__ == "riotdyn.shocks"]
+    assert alive == [ExplicitSchedule]
