@@ -28,8 +28,9 @@ from .continuum import (FieldState, FieldTrajectory, FrontReport,
                         MassDecayReport, NonlocalSpec, PdeParams, PeakReport,
                         SpatialGrid, SteadyStatesReport, cfl_time_step,
                         find_bistability_boundary, integrate_pde,
-                        kernel_matrix, laplacian, mass_diagnostics,
-                        pde_rhs_local, pde_rhs_nonlocal, peak_statistics,
-                        save_field_trajectory, steady_states, track_front)
+                        kernel_matrix, laplacian, load_field_trajectory,
+                        mass_diagnostics, pde_rhs_local, pde_rhs_nonlocal,
+                        peak_statistics, save_field_trajectory,
+                        steady_states, track_front)
 
 __version__ = "0.1.0"

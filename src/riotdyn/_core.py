@@ -5,6 +5,7 @@ the tension, which they hand to :func:`drive` as a step and a jump.
 """
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from .shocks import Shock, ShockSchedule, realize
 
 NEGATIVITY_CLAMP = 1e-12   # roundoff below this magnitude is clamped silently
 WRITE_CHUNK_ROWS = 1024
+TABLE_SCHEMA_VERSION = 1   # of the .schema.json sidecar of every table
 
 
 def group_events(schedule: ShockSchedule, horizon: float,
@@ -47,15 +49,17 @@ def drive(step, jump, state, events, t_end: float, dt: float, stride: int):
     BlowUpError(t) on a non-finite state and then clamping negative roundoff;
     ``jump(state, shocks)`` returns the post-jump state without mutating its
     input.  ``events`` come from :func:`group_events` on [0, t_end].  Steps
-    are ``dt`` long except the last of each segment, which ends on the event
-    time; the jump is applied there and the post-jump state recorded.  A
-    group at t=0 is applied before the initial record; one at ``t_end`` ends
-    the run.  Every ``stride``-th step is recorded, and so are the event
-    times and ``t_end``.
+    are ``dt`` long (finite and > 0, else ValueError) except the last of
+    each segment, which ends on the event time; the jump is applied there
+    and the post-jump state recorded.  A group at t=0 is applied before the
+    initial record; one at ``t_end`` ends the run.  Every ``stride``-th step
+    is recorded, and so are the event times and ``t_end``.
 
     Returns arrays (times, lam, alpha, marks): the records, stacked along
     the first axis, and the indices into ``times`` of the post-jump ones.
     """
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and > 0, got {dt}")
     if stride < 1:
         raise ValueError("record_stride must be >= 1")
     marks: list[int] = []
@@ -120,8 +124,9 @@ def drive_arrays(move, jump, state, events, t_end: float, dt: float,
     return records + (clamps.tolist(),)
 
 
-def write_table(path, header, formats, columns) -> None:
-    """Write ``header`` and then one space-separated row per element.
+def write_table(path, header, formats, columns, description: str) -> None:
+    """Write ``header`` and then one space-separated row per element, and
+    the sidecar ``<path>.schema.json`` naming the columns and ``description``.
 
     ``columns`` are arrays of one common shape whose leading axis indexes
     records; rows follow C order over that shape, so the last axis varies
@@ -138,3 +143,7 @@ def write_table(path, header, formats, columns) -> None:
         for i in range(0, len(cols[0]), chunk):
             block = [c[i:i + chunk].ravel().tolist() for c in cols]
             fh.writelines(row % r for r in zip(*block))
+    with open(f"{path}.schema.json", "w") as fh:
+        fh.write(json.dumps({"schema_version": TABLE_SCHEMA_VERSION,
+                             "columns": list(header),
+                             "description": description}, indent=2) + "\n")

@@ -43,16 +43,16 @@ from .model import (DECAY_FORMS, ModelParams, SiteState, check_excitability,
 from ._core import write_table
 from .shocks import (AmplitudeLaw, ExplicitSchedule, PeriodicSchedule,
                      PoissonSchedule, Shock, event_count, realize)
-from .single_site import (MIN_FORCING_EVENTS, TRAJECTORY_COLUMNS,
-                          check_relaxation, classify_forced_regime,
-                          hysteresis_sweep, integrate_site, load_trajectory,
+from .single_site import (MIN_FORCING_EVENTS, check_relaxation,
+                          classify_forced_regime, hysteresis_sweep,
+                          integrate_site, load_trajectory,
                           max_activity_window, save_trajectory)
-from .network import (NETWORK_COLUMNS, classify_spread, delay_experiment,
+from .network import (ACTIVATION_FRACTION, classify_spread, delay_experiment,
                       double_threshold_scan, grid_graph, integrate_network,
                       save_network_trajectory)
-from .continuum import (FIELD_COLUMNS_1D, FIELD_COLUMNS_2D, FieldState,
-                        FieldTrajectory, NonlocalSpec, PdeParams, SpatialGrid,
-                        cfl_time_step, integrate_pde, mass_diagnostics,
+from .continuum import (CFL_SAFETY, FieldState, NonlocalSpec, PdeParams,
+                        SpatialGrid, cfl_time_step, integrate_pde,
+                        load_field_trajectory, mass_diagnostics,
                         peak_statistics, save_field_trajectory,
                         steady_states, track_front)
 
@@ -196,7 +196,8 @@ CONFIG: dict = {
             k for kinds in EXPERIMENTS.values() for k in kinds)),
         "eps": Leaf(1e-3), "delta_fraction": Leaf(0.05),
         "seed_node": Leaf(55, "int"),
-        "threshold_fraction": Leaf(0.2, lo=0.0, hi=1.0, open=True),
+        "threshold_fraction": Leaf(ACTIVATION_FRACTION, lo=0.0, hi=1.0,
+                                   open=True),
         "amplitudes": Leaf([2.0, 6.0, 10.0], lo=0.0, open=True,
                            size=(1, None)),
         "p_node": Leaf(22, "int"), "m_node": Leaf(77, "int"),
@@ -404,7 +405,7 @@ def _check_grid(r: dict, params: ModelParams, pp: PdeParams,
     if r["numerics"]["dt"] > bound * (1.0 + 1e-12):
         raise ConfigError(
             f"numerics.dt={r['numerics']['dt']} violates the explicit "
-            f"stability bound {bound:.6g} (= 0.4 dx^2 / (2 dim D))")
+            f"stability bound {bound:.6g} (= {CFL_SAFETY:g} dx^2 / (2 dim D))")
     kind, init = r["experiment"]["kind"], r["initial"]
     inits = {init["lambda_field"]["kind"], init["alpha_field"]["kind"]}
     if grid.dimension != 1 and (r["model"] == "pde_nonlocal" or kind ==
@@ -564,19 +565,6 @@ def _build_field(spec: dict, grid: SpatialGrid, pp: PdeParams,
     return np.where(x < cut, alpha2, alpha1)
 
 
-def _write_schema(path: Path, columns, description: str) -> None:
-    sidecar = path.with_suffix(path.suffix + ".schema.json")
-    sidecar.write_text(json.dumps(
-        {"schema_version": SUMMARY_SCHEMA_VERSION, "columns": list(columns),
-         "description": description}, indent=2) + "\n")
-
-
-def _write_table(path: Path, header, formats, columns,
-                 description: str) -> None:
-    write_table(path, header, formats, columns)
-    _write_schema(path, header, description)
-
-
 def _json_ready(value):
     if isinstance(value, (np.generic, np.ndarray)):
         return value.tolist()
@@ -595,6 +583,86 @@ class RunResult:
     output_dir: Path
 
 
+# ----------------------------------------------------------------------
+# analyses of a recorded trajectory, shared by run and analyze: each takes
+# the experiment section and gives the summary fields of its kind and the
+# table that a run writes, as (file name, header, formats, columns,
+# description) for write_table, or None
+# ----------------------------------------------------------------------
+
+def _relaxation(exp: dict, traj):
+    return {"relaxed_at": check_relaxation(traj, exp["eps"])}, None
+
+
+def _window(exp: dict, traj):
+    window = max_activity_window(
+        traj, exp["delta_fraction"] * required_peak_activity(traj.params))
+    return {"window": window, "window_length":
+            0.0 if window is None else window[1] - window[0]}, None
+
+
+def _spread(exp: dict, traj):
+    rep = classify_spread(traj, traj.graph, exp["seed_node"],
+                          exp["threshold_fraction"])
+    return (dict(regime=rep.regime, n_activated=rep.n_activated,
+                 jump_nodes=list(rep.jump_nodes),
+                 order_violations=rep.order_violations),
+            ("activation.txt", ("node", "activation_time", "distance"),
+             ("%d", "%.17g", "%.17g"),
+             (np.arange(traj.graph.n), rep.activation, rep.distances),
+             "first-passage activation times and hop distances"))
+
+
+def _mass(exp: dict, traj):
+    rep = mass_diagnostics(traj)
+    return (dict(k1=rep.k1, k2=rep.k2, fitted_rate=rep.fitted_rate,
+                 rate_within_bounds=rep.rate_within_bounds,
+                 hypothesis_ok=rep.hypothesis_ok),
+            ("mass.txt", ("t", "lambda_mass", "alpha_mass", "lower_envelope",
+                          "upper_envelope"), ("%.17g",) * 5,
+             (rep.times, rep.lam_mass, rep.alpha_mass, rep.lower_envelope,
+              rep.upper_envelope),
+             "L1 norms and the exponential envelope of tension mass"))
+
+
+def _front(exp: dict, traj):
+    rep = track_front(traj, exp["threshold"])
+    found = np.isfinite(rep.positions)
+    return (dict(speed=rep.speed, threshold=rep.threshold,
+                 fit_window=rep.fit_window,
+                 monotonicity_violations=rep.monotonicity_violations),
+            ("front.txt", ("t", "front_position"), ("%.17g", "%.17g"),
+             (rep.times[found], rep.positions[found]),
+             "front position over time"))
+
+
+def _peaks(exp: dict, traj):
+    rep = peak_statistics(traj, _site_value(exp["trigger"]))
+    return (dict(p_violation_fraction=rep.p_violation_fraction,
+                 t_violation_fraction=rep.t_violation_fraction),
+            ("peaks.txt", ("distance", "peak_value", "peak_time"),
+             ("%.17g",) * 3, (rep.distances, rep.peak_values, rep.peak_times),
+             "per-cell peak activity and peak time by distance"))
+
+
+ANALYSES = {"relaxation": _relaxation, "window": _window, "spread": _spread,
+            "mass": _mass, "front": _front, "peaks": _peaks}
+# the analyses that `riotdyn analyze` can redo from a stored trajectory
+ANALYZE_KINDS = ("relaxation", "front", "peaks", "mass")
+
+
+def _analysed(cfg: RunConfig, traj, out: Path, summary: dict) -> dict:
+    """``summary`` updated by the configured analysis of ``traj``, if any,
+    whose table is written into ``out``."""
+    exp = cfg.resolved["experiment"]
+    if exp["kind"] in ANALYSES:
+        values, table = ANALYSES[exp["kind"]](exp, traj)
+        if table is not None:
+            write_table(out / table[0], *table[1:])
+        summary.update(values)
+    return summary
+
+
 def _run_site(cfg: RunConfig, out: Path) -> dict:
     r, params = cfg.resolved, cfg.params()
     num, exp = r["numerics"], r["experiment"]
@@ -603,9 +671,9 @@ def _run_site(cfg: RunConfig, out: Path) -> dict:
         g = exp["alpha_b_grid"]
         res = hysteresis_sweep(params, np.linspace(g["start"], g["stop"],
                                                    g["count"]))
-        _write_table(out / "hysteresis.txt", ("alpha_b", "n_fixed_points"),
-                     ("%.17g", "%d"), (res.grid, res.counts),
-                     "fixed-point count along the base-tension sweep")
+        write_table(out / "hysteresis.txt", ("alpha_b", "n_fixed_points"),
+                    ("%.17g", "%d"), (res.grid, res.counts),
+                    "fixed-point count along the base-tension sweep")
         return dict(fold=res.fold, alpha_b1=res.alpha_b1,
                     alpha_b2=res.alpha_b2, message=res.message)
     if exp["kind"] == "forced_regime":
@@ -619,18 +687,9 @@ def _run_site(cfg: RunConfig, out: Path) -> dict:
                           dt=num["dt"], seed=num["seed"],
                           record_stride=num["output_stride"])
     save_trajectory(traj, out / "trajectory.txt")
-    _write_schema(out / "trajectory.txt", TRAJECTORY_COLUMNS,
-                  "single-site trajectory; shock_flag marks tension jumps")
-    summary = {"max_activity": float(traj.lam.max()),
-               "final_state": [float(traj.lam[-1]), float(traj.alpha[-1])]}
-    if exp["kind"] == "relaxation":
-        summary["relaxed_at"] = check_relaxation(traj, exp["eps"])
-    elif exp["kind"] == "window":
-        window = max_activity_window(
-            traj, exp["delta_fraction"] * required_peak_activity(params))
-        summary["window"] = window
-        summary["window_length"] = 0.0 if window is None else window[1] - window[0]
-    return summary
+    return _analysed(cfg, traj, out, {
+        "max_activity": float(traj.lam.max()),
+        "final_state": [float(traj.lam[-1]), float(traj.alpha[-1])]})
 
 
 def _run_network(cfg: RunConfig, out: Path) -> dict:
@@ -646,9 +705,9 @@ def _run_network(cfg: RunConfig, out: Path) -> dict:
             graph, params, exp["amplitudes"], exp["seed_node"], init,
             num["t_end"], num["dt"], exp["threshold_fraction"],
             record_stride=num["output_stride"])
-        _write_table(out / "threshold_scan.txt", ("amplitude", "regime"),
-                     ("%.17g", "%s"), (scan.amplitudes, scan.regimes),
-                     "spread classification per shock amplitude")
+        write_table(out / "threshold_scan.txt", ("amplitude", "regime"),
+                    ("%.17g", "%s"), (scan.amplitudes, scan.regimes),
+                    "spread classification per shock amplitude")
         # not asdict: summary.json keeps its key order, regimes first
         return dict(regimes=list(scan.regimes),
                     amplitudes=list(scan.amplitudes),
@@ -666,21 +725,7 @@ def _run_network(cfg: RunConfig, out: Path) -> dict:
                              noise_seed=num["seed"], seed=num["seed"],
                              record_stride=num["output_stride"])
     save_network_trajectory(traj, out / "network.txt")
-    _write_schema(out / "network.txt", NETWORK_COLUMNS,
-                  "per-node trajectory, nodes fastest-varying")
-    summary = {"max_activity": float(traj.lam.max())}
-    if exp["kind"] == "spread":
-        rep = classify_spread(traj, graph, exp["seed_node"],
-                              exp["threshold_fraction"])
-        _write_table(out / "activation.txt",
-                     ("node", "activation_time", "distance"),
-                     ("%d", "%.17g", "%.17g"),
-                     (np.arange(graph.n), rep.activation, rep.distances),
-                     "first-passage activation times and hop distances")
-        summary.update(regime=rep.regime, n_activated=rep.n_activated,
-                       jump_nodes=list(rep.jump_nodes),
-                       order_violations=rep.order_violations)
-    return summary
+    return _analysed(cfg, traj, out, {"max_activity": float(traj.lam.max())})
 
 
 def _run_pde(cfg: RunConfig, out: Path) -> dict:
@@ -700,42 +745,7 @@ def _run_pde(cfg: RunConfig, out: Path) -> dict:
                          dt=num["dt"], seed=num["seed"],
                          record_stride=num["output_stride"])
     save_field_trajectory(traj, out / "fields.txt")
-    _write_schema(out / "fields.txt",
-                  FIELD_COLUMNS_1D if grid.dimension == 1
-                  else FIELD_COLUMNS_2D,
-                  "field snapshots at the configured output stride")
-    summary = {"max_activity": float(traj.lam.max())}
-    if exp["kind"] == "mass":
-        rep = mass_diagnostics(traj)
-        _write_table(out / "mass.txt",
-                     ("t", "lambda_mass", "alpha_mass", "lower_envelope",
-                      "upper_envelope"), ("%.17g",) * 5,
-                     (rep.times, rep.lam_mass, rep.alpha_mass,
-                      rep.lower_envelope, rep.upper_envelope),
-                     "L1 norms and the exponential envelope of tension mass")
-        summary.update(k1=rep.k1, k2=rep.k2, fitted_rate=rep.fitted_rate,
-                       rate_within_bounds=rep.rate_within_bounds,
-                       hypothesis_ok=rep.hypothesis_ok)
-    elif exp["kind"] == "front":
-        rep = track_front(traj, exp["threshold"])
-        found = np.isfinite(rep.positions)
-        _write_table(out / "front.txt", ("t", "front_position"),
-                     ("%.17g", "%.17g"),
-                     (rep.times[found], rep.positions[found]),
-                     "front position over time")
-        summary.update(speed=rep.speed, threshold=rep.threshold,
-                       fit_window=rep.fit_window,
-                       monotonicity_violations=rep.monotonicity_violations)
-    elif exp["kind"] == "peaks":
-        rep = peak_statistics(traj, _site_value(exp["trigger"]))
-        _write_table(out / "peaks.txt",
-                     ("distance", "peak_value", "peak_time"),
-                     ("%.17g",) * 3,
-                     (rep.distances, rep.peak_values, rep.peak_times),
-                     "per-cell peak activity and peak time by distance")
-        summary.update(p_violation_fraction=rep.p_violation_fraction,
-                       t_violation_fraction=rep.t_violation_fraction)
-    return summary
+    return _analysed(cfg, traj, out, {"max_activity": float(traj.lam.max())})
 
 
 def run(cfg: RunConfig, output_dir=None) -> RunResult:
@@ -818,8 +828,8 @@ def sweep(cfg: RunConfig, axis: str, values, output_dir=None) -> list[dict]:
     cells = [["nan" if row.get(k) is None else
               "%.17g" % row[k] if isinstance(row[k], float) else str(row[k])
               for row in summaries] for k in keys]
-    _write_table(out / "sweep.txt", keys, ("%s",) * len(keys), cells,
-                 f"summaries per {axis} value, input order")
+    write_table(out / "sweep.txt", keys, ("%s",) * len(keys), cells,
+                f"summaries per {axis} value, input order")
     (out / "sweep.json").write_text(
         json.dumps(_json_ready(summaries), indent=2) + "\n")
     return summaries
@@ -829,45 +839,36 @@ def sweep(cfg: RunConfig, axis: str, values, output_dir=None) -> list[dict]:
 # analyze: re-run analyses on stored artifacts
 # ----------------------------------------------------------------------
 
-def _load_field_trajectory(cfg: RunConfig, run_dir: Path):
-    data = np.loadtxt(run_dir / "fields.txt", skiprows=1, ndmin=2)
-    grid = cfg.spatial_grid()
-    if grid.dimension != 1:
-        raise ConfigError("analyze supports 1-D field runs")
-    n, num = grid.cells[0], cfg.resolved["numerics"]
-    events = realize(cfg.schedule(), num["t_end"], num["seed"])
-    return FieldTrajectory(data[::n, 0], data[:, 2].reshape(-1, n),
-                           data[:, 3].reshape(-1, n), np.array([], dtype=int),
-                           tuple(events), grid, cfg.pde_params())
-
-
 def analyze(run_dir, kind: str) -> dict:
-    """Recompute an analysis from a run directory's stored artifacts."""
+    """Redo the analysis of experiment ``kind`` on a run directory's stored
+    trajectory; returns the summary fields a run of that kind reports.
+
+    The stored configuration, with ``experiment.kind`` set to ``kind``,
+    must parse, so a kind that the run's model cannot do is a ConfigError;
+    so is a directory without the configuration or the trajectory.
+    """
     run_dir = Path(run_dir)
-    if not (run_dir / "resolved_config.yaml").exists():
-        raise ConfigError(f"no resolved_config.yaml in {run_dir}")
-    cfg = parse_config((run_dir / "resolved_config.yaml").read_text())
-    exp = cfg.resolved["experiment"]
-    if kind == "relaxation":
-        traj = load_trajectory(run_dir / "trajectory.txt", cfg.params())
-        return {"kind": kind,
-                "relaxed_at": check_relaxation(traj, exp["eps"])}
-    if kind not in ("front", "peaks", "mass"):
+    if kind not in ANALYZE_KINDS:
         raise ConfigError(f"unknown analysis kind {kind!r}")
-    traj = _load_field_trajectory(cfg, run_dir)
-    if kind == "front":
-        rep = track_front(traj, exp["threshold"])
-        return {"kind": kind, "speed": rep.speed,
-                "monotonicity_violations": rep.monotonicity_violations}
-    if kind == "peaks":
-        rep = peak_statistics(traj, _site_value(exp["trigger"]))
-        return {"kind": kind,
-                "p_violation_fraction": rep.p_violation_fraction,
-                "t_violation_fraction": rep.t_violation_fraction}
-    rep = mass_diagnostics(traj)
-    return {"kind": kind, "k1": rep.k1, "k2": rep.k2,
-            "fitted_rate": rep.fitted_rate,
-            "rate_within_bounds": rep.rate_within_bounds}
+    stored = run_dir / "resolved_config.yaml"
+    if not stored.exists():
+        raise ConfigError(f"no resolved_config.yaml in {run_dir}")
+    data = _load_yaml(stored.read_text())
+    _set_by_path(data, "experiment.kind", kind)
+    cfg = parse_config(data)
+    path = run_dir / ("trajectory.txt" if cfg.model == "site"
+                      else "fields.txt")
+    if not path.exists():
+        raise ConfigError(f"no {path.name} in {run_dir}")
+    if cfg.model == "site":
+        traj = load_trajectory(path, cfg.params())
+    else:
+        num = cfg.resolved["numerics"]
+        traj = load_field_trajectory(
+            path, cfg.spatial_grid(), cfg.pde_params(),
+            realize(cfg.schedule(), num["t_end"], num["seed"]))
+    values, _ = ANALYSES[kind](cfg.resolved["experiment"], traj)
+    return {"kind": kind, **values}
 
 
 # ----------------------------------------------------------------------
@@ -898,7 +899,7 @@ def main(argv=None) -> int:
     p_an = sub.add_parser("analyze", help="recompute an analysis from a run")
     p_an.add_argument("run_dir", type=Path)
     p_an.add_argument("--kind", required=True,
-                      choices=("relaxation", "front", "peaks", "mass"))
+                      choices=ANALYZE_KINDS)
 
     args = parser.parse_args(argv)
     try:

@@ -66,6 +66,7 @@ __all__ = [
     "track_front",
     "peak_statistics",
     "save_field_trajectory",
+    "load_field_trajectory",
 ]
 
 CFL_SAFETY = 0.4
@@ -353,8 +354,6 @@ def integrate_pde(pp: PdeParams, grid: SpatialGrid,
     rejected.  Shock times are hit exactly; the deposit is applied there
     and the post-jump snapshot recorded.
     """
-    if t_end <= 0.0:
-        raise ValueError("t_end must be > 0")
     dt_max = cfl_time_step(grid, pp)
     if dt is None:
         dt = dt_max
@@ -362,8 +361,6 @@ def integrate_pde(pp: PdeParams, grid: SpatialGrid,
         raise ValueError(
             f"dt={dt:.6g} violates the explicit stability bound "
             f"{dt_max:.6g} = {CFL_SAFETY} dx^2 / (2 dim D)")
-    if dt <= 0.0:
-        raise ValueError("dt must be > 0")
 
     if initial is None:
         shape = grid.shape
@@ -659,21 +656,31 @@ def peak_statistics(traj: FieldTrajectory, trigger_site) -> PeakReport:
     return PeakReport(dist, peaks, peak_times, p_viol, t_viol, p_tol, t_tol)
 
 
-FIELD_COLUMNS_1D = ("t", "x", "lambda", "alpha")
-FIELD_COLUMNS_2D = ("t", "x", "y", "lambda", "alpha")
-
-
 def save_field_trajectory(traj: FieldTrajectory, path) -> None:
-    """Write snapshots as (t, x[, y], lambda, alpha) rows; in 2-D y is the
-    outer and x the inner loop."""
+    """Write snapshots as (t, x[, y], lambda, alpha) rows, and their schema
+    sidecar; in 2-D y is the outer and x the inner loop."""
     shape = traj.lam.shape
     t = np.broadcast_to(traj.times.reshape((-1,) + (1,) * (len(shape) - 1)),
                         shape)
     x = np.broadcast_to(traj.grid.centers(0), shape)
     if traj.grid.dimension == 1:
-        header, coords = FIELD_COLUMNS_1D, (t, x)
+        header, coords = ("t", "x", "lambda", "alpha"), (t, x)
     else:
         y = np.broadcast_to(traj.grid.centers(1)[:, None], shape)
-        header, coords = FIELD_COLUMNS_2D, (t, x, y)
+        header, coords = ("t", "x", "y", "lambda", "alpha"), (t, x, y)
     write_table(path, header, ("%.17g",) * len(header),
-                coords + (traj.lam, traj.alpha))
+                coords + (traj.lam, traj.alpha),
+                "field snapshots at the configured output stride")
+
+
+def load_field_trajectory(path, grid: SpatialGrid, pp: PdeParams,
+                          shocks: tuple[Shock, ...] = ()) -> FieldTrajectory:
+    """Read snapshots written by :func:`save_field_trajectory` on ``grid``;
+    ``shocks`` are the run's realized shocks, which the file does not hold
+    (the mass envelope needs them)."""
+    data = np.loadtxt(path, skiprows=1, ndmin=2)
+    shape = (-1,) + grid.shape
+    return FieldTrajectory(data[::math.prod(grid.shape), 0],
+                           data[:, -2].reshape(shape),
+                           data[:, -1].reshape(shape),
+                           np.array([], dtype=int), tuple(shocks), grid, pp)

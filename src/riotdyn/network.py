@@ -62,7 +62,7 @@ class Graph:
     sorted row-major: the order of ``np.nonzero`` on the dense matrix, in
     which every per-node sum adds its terms.  Ids must be integers in
     [0, n), with no self-loops or repeats, and V must be symmetric (else
-    ValueError).  ``V`` and ``C`` build the dense matrices on demand.
+    ValueError).
     """
 
     n: int
@@ -104,9 +104,6 @@ class Graph:
         # CSR: the V-neighbours of s are edges_geo[1][indptr[s]:indptr[s+1]]
         return np.concatenate(([0], np.cumsum(self.degrees_geo)))
 
-    V = property(lambda self: _dense(self.n, self.edges_geo))
-    C = property(lambda self: _dense(self.n, self.edges_social))
-
     def distances_from(self, node: int) -> np.ndarray:
         """BFS hop distances over V; unreachable nodes get +inf."""
         check_node_site(node, self.n, "seed node")
@@ -119,12 +116,6 @@ class Graph:
                     dist[j] = dist[s] + 1
                     queue.append(j)
         return dist
-
-
-def _dense(n: int, edges) -> np.ndarray:
-    m = np.zeros((n, n), dtype=np.int8)
-    m[edges] = 1
-    return m
 
 
 @dataclass(frozen=True)
@@ -347,8 +338,6 @@ def _integrate_members(graph: Graph, params: ModelParams, schedules,
     trajectory bit for bit.  Clamps are counted per member; a non-finite
     entry in any member raises BlowUpError.  Noisy runs take one member.
     """
-    if dt <= 0.0 or t_end <= 0.0:
-        raise ValueError("dt and t_end must be > 0")
     if noise not in ("none", "brownian"):
         raise ValueError(f"noise must be none or brownian, got {noise!r}")
     _validate_coupling(graph, params)
@@ -639,13 +628,13 @@ def delay_experiment(graph: Graph, params: ModelParams,
     return DelayReport(n1, n2, full1, full2, post1, post2, post2 > post1)
 
 
-NETWORK_COLUMNS = ("t", "node", "lambda", "alpha")
-
-
 def save_network_trajectory(traj: NetworkTrajectory, path) -> None:
-    """Write (t, node, lambda, alpha) rows, nodes fastest-varying."""
+    """Write (t, node, lambda, alpha) rows, nodes fastest-varying, and
+    their schema sidecar."""
     shape = traj.lam.shape
-    write_table(path, NETWORK_COLUMNS, ("%.17g", "%d", "%.17g", "%.17g"),
+    write_table(path, ("t", "node", "lambda", "alpha"),
+                ("%.17g", "%d", "%.17g", "%.17g"),
                 (np.broadcast_to(traj.times[:, None], shape),
                  np.broadcast_to(np.arange(traj.graph.n), shape),
-                 traj.lam, traj.alpha))
+                 traj.lam, traj.alpha),
+                "per-node trajectory, nodes fastest-varying")

@@ -114,11 +114,6 @@ def integrate_site(params: ModelParams,
         Keep every n-th step in the trajectory (shock times and the final
         time are always kept).
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    if t_end <= 0.0:
-        raise ValueError(f"t_end must be > 0, got {t_end}")
-
     rhs = _make_rhs(params)
     clamp_count = 0
 
@@ -340,15 +335,15 @@ def hysteresis_sweep(params: ModelParams,
                             alpha_b2, message)
 
 
-TRAJECTORY_COLUMNS = ("t", "lambda", "alpha", "shock_flag")
-
-
 def save_trajectory(traj: Trajectory, path) -> None:
-    """Write columnar text: header row then (t, lambda, alpha, shock_flag)."""
+    """Write columnar text, header row then (t, lambda, alpha, shock_flag),
+    and its schema sidecar."""
     flags = np.zeros(traj.times.size, dtype=np.int8)
     flags[traj.shock_marks] = 1
-    write_table(path, TRAJECTORY_COLUMNS, ("%.17g", "%.17g", "%.17g", "%d"),
-                (traj.times, traj.lam, traj.alpha, flags))
+    write_table(path, ("t", "lambda", "alpha", "shock_flag"),
+                ("%.17g", "%.17g", "%.17g", "%d"),
+                (traj.times, traj.lam, traj.alpha, flags),
+                "single-site trajectory; shock_flag marks tension jumps")
 
 
 def load_trajectory(path, params: ModelParams) -> Trajectory:

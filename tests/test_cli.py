@@ -464,13 +464,120 @@ class TestSweep:
             sweep(cfg, "params.omega", [], tmp_path / "s")
 
 
+# small runs of every experiment kind that writes a table, by kind
+TABLE_CONFIGS = {
+    "relaxation": {"preset": "fig-nullcline", "numerics": {"t_end": 5.0}},
+    "window": {"preset": "fig-slow", "numerics": {"t_end": 5.0, "dt": 0.01},
+               "experiment": {"kind": "window"}},
+    "hysteresis": {"model": "site", "params": {"beta": 6.0, "lambda_b": 0.05},
+                   "experiment": {"kind": "hysteresis",
+                                  "alpha_b_grid": {"count": 4}}},
+    **{kind: {"model": "network", "params": {"eta": 0.2, "eta_alpha": 0.1},
+              "network": {"rows": 3, "cols": 3, "social": "hub", "hub": 4},
+              "schedule": {"kind": "explicit", "shocks": [
+                  {"time": 0.0, "amplitude": 4.0, "site": 4}]},
+              "numerics": {"t_end": 1.0, "dt": 0.01},
+              "experiment": {"kind": kind, "seed_node": 4,
+                             "amplitudes": [2.0, 10.0]}}
+       for kind in ("spread", "double_threshold")},
+    **{kind: {"model": "pde_local", "params": {"eta": 0.01},
+              "grid": {"length": 8.0, "cells": 16},
+              "schedule": {"kind": "explicit", "shocks": [
+                  {"time": 0.0, "amplitude": 3.0, "site": 2.0}]},
+              "numerics": {"dt": 0.01, "t_end": 0.5},
+              "experiment": {"kind": kind, "trigger": 2.0}}
+       for kind in ("mass", "front", "peaks")},
+}
+
+
+def test_every_table_has_its_sidecar(tmp_path):
+    for kind, config in TABLE_CONFIGS.items():
+        run(parse_config(config), tmp_path / kind)
+    sweep(parse_config(TABLE_CONFIGS["relaxation"]), "params.beta",
+          [2.0, 3.0], tmp_path / "sweep")
+    tables = sorted(tmp_path.rglob("*.txt"))
+    assert {p.name for p in tables} == {
+        "trajectory.txt", "hysteresis.txt", "network.txt", "activation.txt",
+        "threshold_scan.txt", "fields.txt", "mass.txt", "front.txt",
+        "peaks.txt", "sweep.txt"}
+    for path in tables:
+        sidecar = json.loads(Path(f"{path}.schema.json").read_text())
+        with open(path) as fh:
+            header = fh.readline().split()
+        assert sidecar["columns"] == header, path
+        assert sidecar["schema_version"] == 1, path
+    assert len(list(tmp_path.rglob("*.schema.json"))) == len(tables)
+
+
+def summary_fields(run_dir):
+    """The fields of a run's summary.json that its experiment adds."""
+    summary = json.loads((run_dir / "summary.json").read_text())
+    return {k: v for k, v in summary.items() if k not in (
+        "schema_version", "model", "experiment", "status", "max_activity",
+        "final_state", "wall_time_s")}
+
+
+def analyzed(run_dir, kind):
+    """What ``riotdyn analyze`` prints for ``kind``, without the kind."""
+    out = json.loads(json.dumps(cli._json_ready(analyze(run_dir, kind))))
+    assert out.pop("kind") == kind
+    return out
+
+
+MASS_2D = {"model": "pde_local", "params": {"eta": 0.01},
+           "grid": {"lengths": [4.0, 3.0], "cells": [16, 12]},
+           "pde": {"diffusivity": 0.1},
+           "schedule": {"kind": "explicit", "shocks": [
+               {"time": 0.0, "amplitude": 3.0, "site": [1.1, 2.0]},
+               {"time": 0.3, "amplitude": 2.0, "site": [3.0, 0.6]}]},
+           "numerics": {"dt": 0.01, "t_end": 1.0, "output_stride": 5},
+           "experiment": {"kind": "mass"}}
+
+
 class TestAnalyze:
     def test_relaxation_round_trip(self, tmp_path):
-        cfg = parse_config({"preset": "fig-nullcline"})
-        result = run(cfg, tmp_path / "out")
-        redone = analyze(tmp_path / "out", "relaxation")
-        assert redone["relaxed_at"] == pytest.approx(
-            result.summary["relaxed_at"])
+        run(parse_config({"preset": "fig-nullcline"}), tmp_path / "out")
+        fields = summary_fields(tmp_path / "out")
+        assert list(fields) == ["relaxed_at"]
+        assert analyzed(tmp_path / "out", "relaxation") == fields
+
+    @pytest.mark.parametrize("config", [
+        {"preset": "pde-bump"}, {"preset": "pde-wavefront"},
+        {"preset": "pde-wavefront", "experiment": {"kind": "mass"}},
+        MASS_2D], ids=["bump-peaks", "wavefront-front", "wavefront-mass",
+                       "2d-mass"])
+    def test_field_round_trip(self, tmp_path, config):
+        cfg = parse_config(config)
+        run(cfg, tmp_path / "out")
+        fields = summary_fields(tmp_path / "out")
+        assert len(fields) >= 2
+        kind = cfg.resolved["experiment"]["kind"]
+        assert analyzed(tmp_path / "out", kind) == fields
+
+    # a run, the overrides that shorten it, and a kind it cannot redo:
+    # its model has no such experiment, or it recorded no trajectory
+    @pytest.mark.parametrize("preset, overrides, kind, message", [
+        ("pde-wavefront", ["numerics.t_end=0.5"], "relaxation",
+         "'relaxation' is not a pde_local experiment"),
+        ("fig-periodic", ["numerics.dt=0.01"], "relaxation",
+         "no trajectory.txt in "),
+        ("fig-slow", ["numerics.t_end=5"], "front",
+         "'front' is not a site experiment"),
+        ("pde-monostable", [], "front", "no fields.txt in "),
+        ("net-delay", ["numerics.t_end=1", "numerics.dt=0.01"], "mass",
+         "'mass' is not a network experiment")])
+    def test_kind_the_run_cannot_redo_exits_2(self, tmp_path, capsys, preset,
+                                              overrides, kind, message):
+        out = tmp_path / preset
+        args = ["preset", preset, "--output", str(out)]
+        for item in overrides:
+            args += ["--override", item]
+        assert main(args) == 0
+        capsys.readouterr()
+        assert main(["analyze", str(out), "--kind", kind]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert "Traceback" not in err
 
     def test_missing_run_dir(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -13,9 +13,10 @@ from riotdyn import continuum
 from riotdyn import (ExplicitSchedule, FieldState, FieldTrajectory,
                      ModelParams, NonlocalSpec, PdeParams, Shock, SpatialGrid,
                      cfl_time_step, find_bistability_boundary, integrate_pde,
-                     kernel_matrix, laplacian, mass_diagnostics, peak_activity,
-                     pde_rhs_local, pde_rhs_nonlocal, peak_statistics,
-                     save_field_trajectory, steady_states, track_front)
+                     kernel_matrix, laplacian, load_field_trajectory,
+                     mass_diagnostics, peak_activity, pde_rhs_local,
+                     pde_rhs_nonlocal, peak_statistics, save_field_trajectory,
+                     steady_states, track_front)
 from riotdyn.model import (self_reinforcement_arr, tension_decay_rate_arr,
                            transition_rate_arr)
 
@@ -411,6 +412,23 @@ class TestIntegratePde:
         np.testing.assert_array_equal(rows[..., 4], traj.alpha)
         # the one deposit cell at t=0 is row iy=6, column ix=2
         assert np.argwhere(rows[0, ..., 4]).tolist() == [[6, 2]]
+
+    @pytest.mark.parametrize("grid", [SpatialGrid((5.0, 4.0), (10, 8)),
+                                      SpatialGrid((5.0,), (10,))],
+                             ids=["2d", "1d"])
+    def test_field_load_round_trip(self, tmp_path, grid):
+        pp = PdeParams(model=MASS, D=0.5)
+        site = 1.2 if grid.dimension == 1 else (1.2, 3.1)
+        shocks = (Shock(0.0, 3.0, site),)
+        traj = integrate_pde(pp, grid, ExplicitSchedule(list(shocks)), None,
+                             t_end=0.2, dt=0.02, record_stride=4)
+        path = tmp_path / "fields.txt"
+        save_field_trajectory(traj, path)
+        loaded = load_field_trajectory(path, grid, pp, shocks)
+        for name in ("times", "lam", "alpha"):
+            np.testing.assert_array_equal(getattr(loaded, name),
+                                          getattr(traj, name), strict=True)
+        assert loaded.shocks == shocks and loaded.grid == grid
 
 
 class TestMassDiagnostics:

@@ -1,4 +1,8 @@
-"""The stepping loop shared by the site, network and continuum integrators."""
+"""The stepping loop and the table writer shared by the site, network and
+continuum integrators."""
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -6,7 +10,7 @@ from riotdyn import (BlowUpError, ExplicitSchedule, FieldState, ModelParams,
                      PdeParams, Shock, SiteState, SpatialGrid, grid_graph,
                      integrate_network, integrate_pde, integrate_site)
 from riotdyn import single_site
-from riotdyn._core import drive_arrays
+from riotdyn._core import drive_arrays, write_table
 
 from conftest import BASE
 
@@ -24,26 +28,26 @@ PDE = PdeParams(model=BASE, D=0.1)
 NET = ModelParams(eta=0.1)
 
 
-def run(model, t_end, shocks):
+def run(model, t_end, shocks, dt=DT):
     """Integrate ``model`` to ``t_end`` under ``shocks``; return the times,
     the shock marks, and per record the activity and the tension total."""
     if model == "site":
         traj = integrate_site(
             BASE, ExplicitSchedule([Shock(t, a) for t, a in shocks]),
-            SiteState(0.3, 0.5), t_end, dt=DT, record_stride=STRIDE)
+            SiteState(0.3, 0.5), t_end, dt=dt, record_stride=STRIDE)
         totals = traj.alpha
     elif model == "network":
         traj = integrate_network(
             grid_graph(2, 2), NET,
             ExplicitSchedule([Shock(t, a, 1) for t, a in shocks]),
-            (0.3, 0.5), t_end, dt=DT, record_stride=STRIDE)
+            (0.3, 0.5), t_end, dt=dt, record_stride=STRIDE)
         totals = traj.alpha.sum(axis=1)
     else:
         initial = FieldState(np.full(GRID.shape, 0.3),
                              np.full(GRID.shape, 0.5))
         traj = integrate_pde(
             PDE, GRID, ExplicitSchedule([Shock(t, a, 1.3) for t, a in shocks]),
-            initial, t_end, dt=DT, record_stride=STRIDE)
+            initial, t_end, dt=dt, record_stride=STRIDE)
         totals = traj.alpha.sum(axis=1) * GRID.cell_measure
     return traj.times, traj.shock_marks, traj.lam, totals
 
@@ -69,6 +73,28 @@ def test_shock_stops_and_stride_recording(model):
         assert totals[i] - totals_pre[-1] == pytest.approx(GROUPS[t],
                                                            abs=1e-12)
 
+
+@pytest.mark.parametrize("model", ["site", "network", "pde"])
+@pytest.mark.parametrize("t_end, dt", [
+    (T_END, 0.0), (T_END, -0.1), (T_END, math.inf), (T_END, math.nan),
+    (0.0, DT)])
+def test_step_and_horizon_must_be_finite_and_positive(model, t_end, dt):
+    # an infinite dt would take one step per segment, a NaN one fail in int()
+    with pytest.raises(ValueError, match=r"dt|horizon"):
+        run(model, t_end, SHOCKS[:1], dt)
+
+
+def test_table_writes_rows_and_its_sidecar(tmp_path):
+    path = tmp_path / "t.txt"
+    write_table(path, ("t", "n"), ("%.17g", "%d"),
+                (np.array([0.1, 2.0]), np.array([3, 4])), "what it holds")
+    assert path.read_text() == "t n\n0.10000000000000001 3\n2 4\n"
+    sidecar = tmp_path / "t.txt.schema.json"
+    assert sidecar.read_text() == (
+        '{\n  "schema_version": 1,\n  "columns": [\n    "t",\n    "n"\n'
+        '  ],\n  "description": "what it holds"\n}\n')
+    write_table(str(path), ["t"], ["%s"], [["a"]], "again")
+    assert json.loads(sidecar.read_text())["columns"] == ["t"]
 
 
 def test_clamps_counted_per_row():

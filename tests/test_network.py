@@ -22,11 +22,19 @@ from riotdyn.network import _REGIME_ORDER, ThresholdScan, _integrate_members
 from conftest import BASE, SLOW
 
 
+def dense(n, edges):
+    """The n x n 0/1 adjacency matrix of a (rows, cols) edge list."""
+    m = np.zeros((n, n), dtype=np.int8)
+    m[edges] = 1
+    return m
+
+
 class TestGridGraph:
     def test_two_by_two_enumeration(self):
         g = grid_graph(2, 2)
-        assert g.V.sum() == 8            # 4 undirected edges
-        np.testing.assert_array_equal(g.C, g.V)
+        V = dense(g.n, g.edges_geo)
+        assert V.sum() == 8              # 4 undirected edges
+        np.testing.assert_array_equal(dense(g.n, g.edges_social), V)
 
     def test_hub_social_degrees(self):
         g = grid_graph(10, 10, ("hub", 55))
@@ -36,10 +44,11 @@ class TestGridGraph:
 
     def test_two_hubs_everyone_listens_to_both(self):
         g = grid_graph(10, 10, ("two_hubs", 22, 77))
+        C = dense(g.n, g.edges_social)
         for s in range(100):
             if s not in (22, 77):
-                assert g.C[s, 22] == 1 and g.C[s, 77] == 1
-        assert g.C[22, 77] == 1 and g.C[77, 22] == 1
+                assert C[s, 22] == 1 and C[s, 77] == 1
+        assert C[22, 77] == 1 and C[77, 22] == 1
 
     def test_hub_out_of_range(self):
         with pytest.raises(IndexError):
@@ -86,12 +95,12 @@ class TestGridGraph:
         assert g.indptr_geo.tolist() == [0, 1, 3, 4]
 
     def test_stores_edge_lists_only(self):
-        # V and C are built on demand and never kept
+        # no dense V or C, stored or built
         assert [f.name for f in fields(Graph)] == [
             "n", "edges_geo", "edges_social", "positions"]
         g = grid_graph(3, 3, ("hub", 4))
-        assert g.V is not g.V and g.C.sum() == 16
-        assert not {"V", "C"} & set(vars(g))
+        assert g.edges_social[0].size == 16
+        assert not hasattr(g, "V") and not hasattr(g, "C")
 
     def test_bfs_distances(self):
         g = grid_graph(3, 3)
@@ -277,7 +286,8 @@ def dense_rhs(lam, alpha, graph, params):
     """The network RHS with dense float operators built from V and C, as
     written in the module docstring.  Returns the derivatives and, per
     node, the summed magnitude of the terms that make them up."""
-    V, C = graph.V.astype(float), graph.C.astype(float)
+    V, C = (dense(graph.n, e).astype(float)
+            for e in (graph.edges_geo, graph.edges_social))
     deg_v, deg_c = V.sum(axis=1), C.sum(axis=1)
     eta_a = params.eta if params.eta_alpha is None else params.eta_alpha
     geo = params.eta / np.maximum(deg_v, 1) * (V @ lam - deg_v * lam)
@@ -742,7 +752,7 @@ class TestEdgeListFiles:
         social = tmp_path / "social.txt"
         social.write_text("1 0\n2 0\n3 0\n")
         g = graph_from_edge_files(4, geo, social)
-        assert g.V.sum() == 6                 # three undirected edges
+        assert dense(g.n, g.edges_geo).sum() == 6   # three undirected edges
         assert g.degrees_social.tolist() == [0, 1, 1, 1]
 
     def test_social_defaults_to_geography(self, tmp_path):
@@ -750,7 +760,8 @@ class TestEdgeListFiles:
         geo = tmp_path / "geo.txt"
         geo.write_text("0 1\n")
         g = graph_from_edge_files(2, geo)
-        np.testing.assert_array_equal(g.C, g.V)
+        np.testing.assert_array_equal(dense(g.n, g.edges_social),
+                                      dense(g.n, g.edges_geo))
 
     def test_malformed_line_reports_position(self, tmp_path):
         from riotdyn import graph_from_edge_files
