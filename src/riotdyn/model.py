@@ -243,18 +243,13 @@ def _scan_roots(f: Callable[[float], float], lo: float, hi: float,
 
 
 def peak_activity(params: ModelParams) -> float | None:
-    """Largest sustainable activity: the positive root of -omega z + G(z).
-
-    Equals z0 - omega.  Returns ``None`` when omega >= G'(0) = z0 and no
-    positive root exists (no excited state).
+    """Largest sustainable activity: the positive root of -omega z + G(z),
+    z0 - omega in closed form.  Returns ``None`` when omega >= G'(0) = z0
+    and no positive root exists (no excited state).
     """
     if params.z0 <= params.omega:
         return None
-    f = lambda z: -params.omega * z + self_reinforcement(z, params)
-    roots = [z for z in _scan_roots(f, 0.0, 1.5 * params.z0) if z > ROOT_TOL]
-    if not roots:
-        return None
-    return max(roots)
+    return params.z0 - params.omega
 
 
 def required_peak_activity(params: ModelParams) -> float:

@@ -132,6 +132,22 @@ class TestPeakActivity:
 
     def test_no_excited_state(self):
         assert peak_activity(replace(BASE, z0=2.0, omega=2.5)) is None
+        assert peak_activity(replace(BASE, z0=2.0, omega=2.0)) is None
+
+    def test_exact_without_a_root_search(self):
+        # a sign scan with bisection returned 9.80000000000004 here
+        assert peak_activity(replace(BASE, z0=10.0, omega=0.2)) == 10.0 - 0.2
+
+    @given(z0=st.floats(min_value=1e-3, max_value=1e3),
+           omega=st.floats(min_value=0.0, max_value=1e3))
+    def test_largest_root_of_the_growth_balance(self, z0, omega):
+        p = replace(BASE, z0=z0, omega=omega)
+        z = peak_activity(p)
+        if z0 <= omega:
+            assert z is None
+            return
+        assert z > 0.0
+        assert abs(-omega * z + self_reinforcement(z, p)) <= 1e-12 * z0 * z0
 
 
 class TestTensionThreshold:
