@@ -647,7 +647,7 @@ def _peaks(exp: dict, traj):
 
 ANALYSES = {"relaxation": _relaxation, "window": _window, "spread": _spread,
             "mass": _mass, "front": _front, "peaks": _peaks}
-# the analyses that `riotdyn analyze` can redo from a stored trajectory
+# the kinds that `riotdyn analyze` offers, one per stored site or field run
 ANALYZE_KINDS = ("relaxation", "front", "peaks", "mass")
 
 

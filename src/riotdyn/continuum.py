@@ -674,7 +674,7 @@ def save_field_trajectory(traj: FieldTrajectory, path) -> None:
 
 
 def load_field_trajectory(path, grid: SpatialGrid, pp: PdeParams,
-                          shocks: tuple[Shock, ...] = ()) -> FieldTrajectory:
+                          shocks) -> FieldTrajectory:
     """Read snapshots written by :func:`save_field_trajectory` on ``grid``;
     ``shocks`` are the run's realized shocks, which the file does not hold
     (the mass envelope needs them)."""
