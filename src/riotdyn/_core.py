@@ -1,5 +1,6 @@
 """What the site, network and continuum integrators share: shock grouping,
-RK4 on array pairs, the event-driven stepping loop and the columnar writer.
+RK4 on array pairs, the event-driven stepping loop, the recorder that stacks
+its records, and the columnar writer.
 The models differ only in their right-hand sides and in how a shock enters
 the tension, which they hand to :func:`drive` as a step and a jump.
 """
@@ -41,7 +42,27 @@ def rk4(rhs, lam, alpha, h):
             alpha + h * (d1a + 2 * d2a + 2 * d3a + d4a) / 6.0)
 
 
-def drive(step, jump, state, events, t_end: float, dt: float, stride: int):
+class Stack:
+    """A :func:`drive` recorder that keeps every record; ``arrays()`` then
+    stacks the times and the two state components along a first axis."""
+
+    def __init__(self) -> None:
+        self.times: list = []
+        self.lam: list = []
+        self.alpha: list = []
+
+    def __call__(self, t: float, state) -> None:
+        self.times.append(t)
+        self.lam.append(state[0])
+        self.alpha.append(state[1])
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return (np.asarray(self.times), np.asarray(self.lam),
+                np.asarray(self.alpha))
+
+
+def drive(step, jump, state, events, t_end: float, dt: float, stride: int,
+          record) -> np.ndarray:
     """Integrate an (activity, tension) ``state`` from t=0 to ``t_end``,
     stopping exactly at every shock time.
 
@@ -53,10 +74,11 @@ def drive(step, jump, state, events, t_end: float, dt: float, stride: int):
     each segment, which ends on the event time; the jump is applied there
     and the post-jump state recorded.  A group at t=0 is applied before the
     initial record; one at ``t_end`` ends the run.  Every ``stride``-th step
-    is recorded, and so are the event times and ``t_end``.
+    is recorded, and so are the event times and ``t_end``: each record goes
+    to ``record(t, state)`` (a :class:`Stack` keeps them all), and is not
+    kept here.
 
-    Returns arrays (times, lam, alpha, marks): the records, stacked along
-    the first axis, and the indices into ``times`` of the post-jump ones.
+    Returns the indices, in record order, of the post-jump records.
     """
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be finite and > 0, got {dt}")
@@ -67,9 +89,8 @@ def drive(step, jump, state, events, t_end: float, dt: float, stride: int):
         state = jump(state, events[0][1])
         marks.append(0)
         events = events[1:]
-    times = [0.0]
-    lams = [state[0]]
-    alphas = [state[1]]
+    record(0.0, state)
+    records = 1
 
     if not events or events[-1][0] < t_end:
         events = events + [(t_end, None)]
@@ -86,24 +107,22 @@ def drive(step, jump, state, events, t_end: float, dt: float, stride: int):
             if k == n_steps:
                 if shocks:
                     state = jump(state, shocks)
-                    marks.append(len(times))
+                    marks.append(records)
             elif step_index % stride:
                 continue
-            times.append(t_cur)
-            lams.append(state[0])
-            alphas.append(state[1])
-    return (np.asarray(times), np.asarray(lams), np.asarray(alphas),
-            np.asarray(marks, dtype=int))
+            record(t_cur, state)
+            records += 1
+    return np.asarray(marks, dtype=int)
 
 
 def drive_arrays(move, jump, state, events, t_end: float, dt: float,
-                 stride: int, rows: int = 1):
+                 stride: int, record, rows: int = 1):
     """:func:`drive` for a pair of arrays advanced by ``move(lam, alpha, h)``.
 
     After each move an entry that is NaN or inf (seen in an array's min or
     max) raises BlowUpError, the array models' only finite check, with
     numpy's overflow warnings silenced; then negative entries are clamped to
-    zero.  Returns drive's four arrays and a list with, for each of ``rows``
+    zero.  Returns drive's marks and a list with, for each of ``rows``
     equal row blocks, the number of entries clamped below -NEGATIVITY_CLAMP.
     """
     clamps = np.zeros(rows, dtype=int)
@@ -120,8 +139,8 @@ def drive_arrays(move, jump, state, events, t_end: float, dt: float,
         return pair
 
     with np.errstate(over="ignore", invalid="ignore"):
-        records = drive(step, jump, state, events, t_end, dt, stride)
-    return records + (clamps.tolist(),)
+        marks = drive(step, jump, state, events, t_end, dt, stride, record)
+    return marks, clamps.tolist()
 
 
 def write_table(path, header, formats, columns, description: str) -> None:

@@ -36,7 +36,7 @@ from functools import partial
 
 import numpy as np
 
-from ._core import drive_arrays, group_events, rk4, write_table
+from ._core import Stack, drive_arrays, group_events, rk4, write_table
 from .errors import NoExcitedStateError
 from .model import (ModelParams, peak_activity,
                     self_reinforcement, self_reinforcement_arr,
@@ -382,11 +382,12 @@ def integrate_pde(pp: PdeParams, grid: SpatialGrid,
         return state[0], alpha
 
     events = group_events(schedule, t_end, seed)
-    *records, clamps = drive_arrays(
+    records = Stack()
+    marks, clamps = drive_arrays(
         partial(rk4, stage), jump,
         (initial.lam.astype(float), initial.alpha.astype(float)),
-        events, t_end, dt, record_stride)
-    return FieldTrajectory(*records,
+        events, t_end, dt, record_stride, records)
+    return FieldTrajectory(*records.arrays(), marks,
                            tuple(s for _, group in events for s in group),
                            grid, pp, clamps[0])
 

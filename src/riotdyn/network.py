@@ -28,7 +28,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from ._core import drive_arrays, group_events, rk4, write_table
+from ._core import Stack, drive_arrays, group_events, rk4, write_table
 from .model import (ModelParams, peak_activity, required_peak_activity,
                     self_reinforcement_arr, tension_decay_rate,
                     tension_decay_rate_arr, transition_rate_arr)
@@ -232,7 +232,7 @@ def _validate_coupling(graph: Graph, params: ModelParams) -> None:
         warnings.warn(
             f"activity coupling eta={params.eta:.4g} is not dominated by the "
             f"decay omega={params.omega:.4g}; activity need not decay",
-            stacklevel=4)
+            stacklevel=5)
     if params.eta > 0.0 and (graph.degrees_geo < 1).any():
         bad = np.nonzero(graph.degrees_geo < 1)[0]
         raise ValueError(
@@ -338,6 +338,24 @@ def _integrate_members(graph: Graph, params: ModelParams, schedules,
     trajectory bit for bit.  Clamps are counted per member; a non-finite
     entry in any member raises BlowUpError.  Noisy runs take one member.
     """
+    records = Stack()
+    marks, clamps = _drive_members(graph, params, schedules, records,
+                                   initial, t_end, dt, noise, noise_seed,
+                                   seed, record_stride)
+    times, lams, alphas = records.arrays()
+    lams, alphas = (x.reshape(len(times), len(schedules), -1)
+                    for x in (lams, alphas))
+    return [NetworkTrajectory(times, lams[:, b], alphas[:, b], marks, params,
+                              graph, clamps[b]) for b in range(len(schedules))]
+
+
+def _drive_members(graph: Graph, params: ModelParams, schedules, record,
+                   initial, t_end: float, dt: float, noise: str = "none",
+                   noise_seed: int = 0, seed: int | None = None,
+                   record_stride: int = 1):
+    """The stepping of :func:`_integrate_members`: each record goes to
+    ``record(t, (lam, alpha))``, the members' states end to end, and is not
+    kept.  Returns the shock marks and the per-member clamp counts."""
     if noise not in ("none", "brownian"):
         raise ValueError(f"noise must be none or brownian, got {noise!r}")
     _validate_coupling(graph, params)
@@ -349,7 +367,7 @@ def _integrate_members(graph: Graph, params: ModelParams, schedules,
             "tension decay at peak activity does not dominate the social "
             f"inflow (h(peak)={tension_decay_rate(lam_star, params):.4g} <= "
             f"eta_alpha={eta_a:.4g}); tension mass can grow on long runs",
-            stacklevel=3)
+            stacklevel=4)
 
     per_member = [group_events(s, t_end, seed) for s in schedules]
     if len({tuple(t for t, _ in member) for member in per_member}) > 1:
@@ -384,11 +402,15 @@ def _integrate_members(graph: Graph, params: ModelParams, schedules,
                 row[s.site] += s.amplitude
         return state[0], alpha
 
-    times, lams, alphas, marks, clamps = drive_arrays(
-        move, jump, (lam, alpha), events, t_end, dt, record_stride, members)
-    lams, alphas = (x.reshape(len(times), members, -1) for x in (lams, alphas))
-    return [NetworkTrajectory(times, lams[:, b], alphas[:, b], marks, params,
-                              graph, clamps[b]) for b in range(members)]
+    return drive_arrays(move, jump, (lam, alpha), events, t_end, dt,
+                        record_stride, record, members)
+
+
+def _activation_level(params: ModelParams, threshold_fraction: float) -> float:
+    """The activity at which a node counts as activated."""
+    if not 0.0 < threshold_fraction < 1.0:
+        raise ValueError("threshold_fraction must be in (0, 1)")
+    return threshold_fraction * required_peak_activity(params)
 
 
 def activation_times(traj: NetworkTrajectory,
@@ -396,14 +418,27 @@ def activation_times(traj: NetworkTrajectory,
                      ) -> np.ndarray:
     """First time each node's activity reaches threshold_fraction * peak;
     +inf for nodes that never do."""
-    if not 0.0 < threshold_fraction < 1.0:
-        raise ValueError("threshold_fraction must be in (0, 1)")
-    thr = threshold_fraction * required_peak_activity(traj.params)
-    hit = traj.lam >= thr
+    hit = traj.lam >= _activation_level(traj.params, threshold_fraction)
     out = np.full(traj.graph.n, np.inf)
     any_hit = hit.any(axis=0)
     out[any_hit] = traj.times[hit.argmax(axis=0)[any_hit]]
     return out
+
+
+class _FirstPassages:
+    """A recorder that keeps only the record times and, per entry of the
+    activity, the first record time at which it reaches ``level``: the
+    :func:`activation_times` of every member, without the trajectory."""
+
+    def __init__(self, level: float, size: int) -> None:
+        self.level = level
+        self.times: list[float] = []
+        self.first = np.full(size, np.inf)
+
+    def __call__(self, t: float, state) -> None:
+        self.times.append(t)
+        np.minimum(self.first, np.where(state[0] >= self.level, t, np.inf),
+                   out=self.first)
 
 
 @dataclass(frozen=True)
@@ -450,9 +485,16 @@ def classify_spread(traj: NetworkTrajectory, graph: Graph, seed_node: int,
     ``tol`` is the slack of the order check only; it defaults to twice the
     recorded sample interval.
     """
-    act = activation_times(traj, threshold_fraction)
+    return _spread_report(activation_times(traj, threshold_fraction),
+                          traj.times, graph, seed_node, tol)
+
+
+def _spread_report(act: np.ndarray, times, graph: Graph, seed_node: int,
+                   tol: float | None = None) -> SpreadReport:
+    """The rules of :func:`classify_spread`, on per-node activation times
+    ``act`` read at the record ``times``."""
     if tol is None:
-        diffs = np.diff(traj.times)
+        diffs = np.diff(times)
         tol = 2.0 * float(np.median(diffs)) if diffs.size else 0.0
     dist = graph.distances_from(seed_node)
     activated = np.isfinite(act)
@@ -525,27 +567,21 @@ def double_threshold_scan(graph: Graph, params: ModelParams, A_grid,
                           refine_rounds: int = 3) -> ThresholdScan:
     """Classify the spread for each amplitude and bracket the two thresholds.
 
-    Grid brackets are narrowed by ``refine_rounds`` rounds of bisection
-    (one batched run per round, one member per open bracket).
-    Classification-order violations along the grid are reported, not
-    asserted.
+    Grid brackets are narrowed by ``refine_rounds`` rounds of bisection.
+    Every amplitude the bisection can visit runs in one batch with the
+    grid (see :func:`_bisection_points`), keeping only activation times;
+    the bisection then reads its labels from that batch.  Classification-
+    order violations along the grid are reported, not asserted.
     """
     A_grid = [float(a) for a in A_grid]
     if any(b <= a for a, b in zip(A_grid, A_grid[1:])):
         raise ValueError("A_grid must be strictly increasing")
+    amplitudes = _bisection_points(A_grid, refine_rounds)
+    regime_of = dict(zip(amplitudes, _scan_regimes(
+        graph, params, amplitudes, seed_node, initial, t_end, dt,
+        threshold_fraction, record_stride)))
 
-    def classify(amplitudes: list[float]) -> list[str]:
-        # one member per amplitude; all shocks fall at t=0
-        if not amplitudes:
-            return []
-        trajs = _integrate_members(
-            graph, params,
-            [ExplicitSchedule([Shock(0.0, a, seed_node)]) for a in amplitudes],
-            initial, t_end, dt=dt, record_stride=record_stride)
-        return [classify_spread(traj, graph, seed_node,
-                                threshold_fraction).regime for traj in trajs]
-
-    regimes = classify(A_grid)
+    regimes = [regime_of[a] for a in A_grid]
     levels = [_REGIME_ORDER[r] for r in regimes]
     monotonic = all(b >= a for a, b in zip(levels, levels[1:]))
     flags = []
@@ -561,15 +597,14 @@ def double_threshold_scan(graph: Graph, params: ModelParams, A_grid,
         hi_i = min(j for j in at_or_above if j > lo_i)
         return A_grid[lo_i], A_grid[hi_i]
 
-    # both brackets bisect in lockstep, each round one run of their midpoints
     brackets = {level: grid_bracket(level) for level in (1, 2)}
-    open_levels = [level for level, b in brackets.items() if b is not None]
-    for _ in range(refine_rounds if open_levels else 0):
-        mids = [0.5 * (brackets[l][0] + brackets[l][1]) for l in open_levels]
-        for level, mid, regime in zip(open_levels, mids, classify(mids)):
-            lo, hi = brackets[level]
-            brackets[level] = ((lo, mid) if _REGIME_ORDER[regime] >= level
-                               else (mid, hi))
+    for level, bracket in brackets.items():
+        for _ in range(refine_rounds if bracket else 0):
+            lo, hi = bracket
+            mid = 0.5 * (lo + hi)
+            bracket = ((lo, mid) if _REGIME_ORDER[regime_of[mid]] >= level
+                       else (mid, hi))
+        brackets[level] = bracket
     spread_bracket, nonlocal_bracket = brackets[1], brackets[2]
     if all(r == "contained" for r in regimes):
         flags.append("no spreading observed")
@@ -577,6 +612,42 @@ def double_threshold_scan(graph: Graph, params: ModelParams, A_grid,
         flags.append("fewer than three regimes observed; partial result")
     return ThresholdScan(tuple(A_grid), tuple(regimes), spread_bracket,
                          nonlocal_bracket, monotonic, tuple(flags))
+
+
+def _bisection_points(A_grid: list[float], rounds: int) -> list[float]:
+    """The grid and every midpoint that ``rounds`` rounds of bisection can
+    visit: a bracket is always a pair of adjacent grid points, so these
+    are the dyadic points of depth ``rounds`` inside each grid interval,
+    made by the bisection's own ``0.5 * (lo + hi)``.  That is
+    (m-1)(2^rounds - 1) + m amplitudes for m grid points, so the batch
+    doubles with every round."""
+    def inside(lo: float, hi: float, depth: int) -> list[float]:
+        if depth <= 0:
+            return []
+        mid = 0.5 * (lo + hi)
+        return inside(lo, mid, depth - 1) + [mid] + inside(mid, hi, depth - 1)
+    return list(dict.fromkeys(
+        A_grid + [x for lo, hi in zip(A_grid, A_grid[1:])
+                  for x in inside(lo, hi, rounds)]))
+
+
+def _scan_regimes(graph: Graph, params: ModelParams, amplitudes, seed_node,
+                  initial, t_end: float, dt: float,
+                  threshold_fraction: float, record_stride: int) -> list[str]:
+    """The spread regime of one shock at ``seed_node`` and t=0 for each
+    amplitude, from one batched run that keeps only first passages; each
+    equals ``classify_spread`` on that amplitude's own run."""
+    if not amplitudes:
+        return []
+    passages = _FirstPassages(_activation_level(params, threshold_fraction),
+                              len(amplitudes) * graph.n)
+    _drive_members(
+        graph, params,
+        [ExplicitSchedule([Shock(0.0, a, seed_node)]) for a in amplitudes],
+        passages, initial, t_end, dt, record_stride=record_stride)
+    times = np.asarray(passages.times)
+    return [_spread_report(act, times, graph, seed_node).regime
+            for act in passages.first.reshape(len(amplitudes), -1)]
 
 
 @dataclass(frozen=True)

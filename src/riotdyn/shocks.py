@@ -136,8 +136,8 @@ def realize(schedule: ShockSchedule, horizon: float,
     up to the horizon; Poisson ones are sampled with ``seed`` (falling back
     to the schedule's own seed).  Same inputs always give the same list.
     """
-    if horizon <= 0.0:
-        raise ValueError(f"horizon must be > 0, got {horizon}")
+    if not 0.0 < horizon < math.inf:
+        raise ValueError(f"horizon must be finite and > 0, got {horizon}")
     if schedule is None:
         return []
     if isinstance(schedule, ExplicitSchedule):

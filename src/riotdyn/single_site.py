@@ -19,7 +19,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._core import NEGATIVITY_CLAMP, drive, group_events, write_table
+from ._core import (NEGATIVITY_CLAMP, Stack, drive, group_events,
+                    write_table)
 from .errors import BlowUpError
 from .model import (ModelParams, SiteState, fixed_points,
                     required_peak_activity, tension_nullcline)
@@ -146,15 +147,16 @@ def integrate_site(params: ModelParams,
     def jump(state, shocks):
         return state[0], state[1] + sum(s.amplitude for s in shocks)
 
-    records = drive(step, jump, (float(initial.lam), float(initial.alpha)),
-                    group_events(schedule, t_end, seed), t_end, dt,
-                    record_stride)
+    records = Stack()
+    marks = drive(step, jump, (float(initial.lam), float(initial.alpha)),
+                  group_events(schedule, t_end, seed), t_end, dt,
+                  record_stride, records)
 
     if clamp_count > CLAMP_WARN_COUNT:
         warnings.warn(
             f"integration clamped {clamp_count} negative values; results may "
             "be dominated by roundoff", stacklevel=2)
-    return Trajectory(*records, params, clamp_count)
+    return Trajectory(*records.arrays(), marks, params, clamp_count)
 
 
 def _relaxation_floors(params: ModelParams) -> tuple[float, float]:

@@ -596,6 +596,32 @@ class TestNonlocalIntegration:
                                            record_stride=10).alpha[-1]
         assert np.max(np.abs(fields[0.2] - fields[2.0])) > 1e-4
 
+    def test_convolution_tends_to_the_local_run_as_the_kernel_narrows(self):
+        # eta_bar (J*alpha - alpha) -> eta_bar (w^2/2) alpha'' for a
+        # normalized Gaussian of width w (Andreu-Vaillo, Mazon, Rossi and
+        # Toledo-Melero, Nonlocal Diffusion Problems, AMS 2010).  With
+        # eta = lambda_b = 0, the single-decay convolution variant at
+        # eta_bar = 2D/w^2 differs from the local system only in that
+        # term, so the tension converges to the local run at second order
+        # in w: halving w divides the error by about four
+        params = replace(MASS, eta=0.0)
+        g = grid1d(20.0, 400)
+        init = FieldState(np.full(400, 2.0), np.zeros(400))
+        run = dict(schedule=ExplicitSchedule([Shock(0.0, 5.0, 10.0)]),
+                   initial=init, t_end=6.0, dt=0.004, record_stride=10 ** 9)
+        deposit = dict(D=0.1, deposit="gaussian", deposit_width=0.5)
+        local = integrate_pde(PdeParams(model=params, **deposit), g, **run)
+        errors = []
+        for w in (0.4, 0.2, 0.1):
+            spec = NonlocalSpec(2.0 * 0.1 / w ** 2, ("gaussian", w),
+                                normalize=True, variant="convolution",
+                                drop_duplicate_decay=True)
+            traj = integrate_pde(PdeParams(model=params, nonlocal_spec=spec,
+                                           **deposit), g, **run)
+            errors.append(np.max(np.abs(traj.alpha[-1] - local.alpha[-1])))
+        ratios = [a / b for a, b in zip(errors, errors[1:])]
+        assert all(3.0 <= r <= 5.0 for r in ratios), (errors, ratios)
+
 
 class TestSpatialConvergence:
     def test_second_order_in_dx(self, mesh_halving_runs):

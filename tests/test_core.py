@@ -10,7 +10,7 @@ from riotdyn import (BlowUpError, ExplicitSchedule, FieldState, ModelParams,
                      PdeParams, Shock, SiteState, SpatialGrid, grid_graph,
                      integrate_network, integrate_pde, integrate_site)
 from riotdyn import single_site
-from riotdyn._core import drive_arrays, write_table
+from riotdyn._core import Stack, drive_arrays, write_table
 
 from conftest import BASE
 
@@ -77,9 +77,10 @@ def test_shock_stops_and_stride_recording(model):
 @pytest.mark.parametrize("model", ["site", "network", "pde"])
 @pytest.mark.parametrize("t_end, dt", [
     (T_END, 0.0), (T_END, -0.1), (T_END, math.inf), (T_END, math.nan),
-    (0.0, DT)])
+    (0.0, DT), (math.inf, DT), (math.nan, DT)])
 def test_step_and_horizon_must_be_finite_and_positive(model, t_end, dt):
-    # an infinite dt would take one step per segment, a NaN one fail in int()
+    # an infinite dt would take one step per segment, a NaN one fail in int();
+    # so would a NaN t_end, and an infinite one overflow it
     with pytest.raises(ValueError, match=r"dt|horizon"):
         run(model, t_end, SHOCKS[:1], dt)
 
@@ -107,9 +108,10 @@ def test_clamps_counted_per_row():
         return lam - drops, alpha - 2 * drops
 
     state = (np.zeros(9), np.zeros(9))
-    *_, per_row = drive_arrays(move, None, state, [], 1.0, 0.5, 1, rows=3)
+    _, per_row = drive_arrays(move, None, state, [], 1.0, 0.5, 1, Stack(),
+                              rows=3)
     assert per_row == [0, 12, 12]
-    *_, total = drive_arrays(move, None, state, [], 1.0, 0.5, 1)
+    _, total = drive_arrays(move, None, state, [], 1.0, 0.5, 1, Stack())
     assert total == [24] and isinstance(total[0], int)
 
 
@@ -121,7 +123,7 @@ def test_non_finite_row_stops_the_run():
 
     state = (np.zeros(4), np.zeros(4))
     with pytest.raises(BlowUpError):
-        drive_arrays(move, None, state, [], 1.0, 0.5, 1, rows=2)
+        drive_arrays(move, None, state, [], 1.0, 0.5, 1, Stack(), rows=2)
 
 
 @pytest.mark.parametrize("field", [0, 1])
@@ -134,7 +136,7 @@ def test_step_to_minus_infinity_stops_the_run(field):
 
     state = (np.zeros(4), np.zeros(4))
     with pytest.raises(BlowUpError):
-        drive_arrays(move, None, state, [], 1.0, 0.5, 1)
+        drive_arrays(move, None, state, [], 1.0, 0.5, 1, Stack())
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -152,7 +154,7 @@ def test_any_non_finite_entry_stops_the_run_before_a_clamp(field, bad):
 
     state = (np.zeros(8), np.zeros(8))
     with pytest.raises(BlowUpError) as info:
-        drive_arrays(move, None, state, [], 1.0, 0.5, 1)
+        drive_arrays(move, None, state, [], 1.0, 0.5, 1, Stack())
     assert info.value.time == 0.5
     other = seen[-1][1 - field]
     assert (other == -1.0).all()
@@ -163,8 +165,10 @@ def test_negative_zero_is_neither_counted_nor_changed():
         return np.full_like(lam, -0.0), alpha * 1.0
 
     state = (np.ones(6), np.full(6, -0.0))
-    _, lams, alphas, _, clamps = drive_arrays(move, None, state, [],
-                                              1.0, 0.5, 1, rows=3)
+    records = Stack()
+    _, clamps = drive_arrays(move, None, state, [], 1.0, 0.5, 1, records,
+                             rows=3)
+    _, lams, alphas = records.arrays()
     assert clamps == [0, 0, 0]
     assert np.signbit(lams[1:]).all() and (lams[1:] == 0.0).all()
     assert np.signbit(alphas).all()
@@ -179,8 +183,10 @@ def test_clamps_counted_per_row_only_below_the_roundoff_floor():
         return lam * 0.0 + dips, alpha * 0.0 + 2 * dips
 
     state = (np.ones(6), np.ones(6))
-    _, lams, alphas, _, clamps = drive_arrays(move, None, state, [],
-                                              1.5, 0.5, 1, rows=3)
+    records = Stack()
+    _, clamps = drive_arrays(move, None, state, [], 1.5, 0.5, 1, records,
+                             rows=3)
+    _, lams, alphas = records.arrays()
     assert clamps == [0, 12, 0]
     assert (lams[1:] == 0.0).all() and (alphas[1:] == 0.0).all()
     assert not np.signbit(lams[1:, :4]).any()

@@ -9,15 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riotdyn import (AmplitudeLaw, ExplicitSchedule, Graph, ModelParams,
-                     NetworkState, NetworkTrajectory, PoissonSchedule, Shock,
-                     SiteState, activation_times, activity_rate,
-                     classify_spread, delay_experiment, double_threshold_scan,
-                     graph_from_edge_lists, grid_graph, integrate_network,
-                     integrate_site, network_rhs, save_network_trajectory,
-                     tension_rate)
+                     NetworkState, NetworkTrajectory, NoExcitedStateError,
+                     PoissonSchedule, Shock, SiteState, activation_times,
+                     activity_rate, classify_spread, delay_experiment,
+                     double_threshold_scan, graph_from_edge_lists, grid_graph,
+                     integrate_network, integrate_site, network,
+                     network_rhs, save_network_trajectory, tension_rate)
 from riotdyn.model import (self_reinforcement_arr, tension_decay_rate_arr,
                            transition_rate_arr)
-from riotdyn.network import _REGIME_ORDER, ThresholdScan, _integrate_members
+from riotdyn.network import (_REGIME_ORDER, ThresholdScan, _activation_level,
+                             _drive_members, _FirstPassages,
+                             _integrate_members)
 
 from conftest import BASE, SLOW
 
@@ -452,6 +454,35 @@ class TestIntegrateNetwork:
         gap = abs(np.mean(means) - det.lam[i_det].mean())
         assert gap / det.lam[i_det].mean() < 0.05
 
+    def test_euler_maruyama_strong_order_one_half(self):
+        # with no coupling (eta = 0) and no reaction (a = 1000 puts
+        # r(alpha) at about e^-700) every node is a geometric Brownian
+        # motion dX = -omega X dt + sigma X dW, solved exactly by
+        # X(T) = X0 exp((-omega - sigma^2/2) T + sigma W(T)).  W is rebuilt
+        # from the run's noise_seed as the integrator draws it: one
+        # standard normal per node and step.  Euler-Maruyama has strong
+        # order 1/2 (Higham, SIAM Review 43, 2001), so dividing dt by 4
+        # halves the mean error: the band [1.7, 2.4] holds orders
+        # 0.38-0.63, and the 400 independent nodes of a run keep the
+        # Monte Carlo spread of a ratio near +-0.15
+        p = ModelParams(omega=0.2, a=1000.0, sigma=0.5)
+        g = grid_graph(20, 20)
+
+        def mean_error(dt, seed):
+            traj = integrate_network(g, p, None, (1.0, 0.0), t_end=1.0,
+                                     dt=dt, noise="brownian",
+                                     noise_seed=seed, record_stride=10 ** 9)
+            xi = np.random.default_rng(seed).standard_normal(
+                (round(1.0 / dt), g.n))
+            w = np.sqrt(dt) * xi.sum(axis=0)
+            exact = np.exp(-p.omega - 0.5 * p.sigma ** 2 + p.sigma * w)
+            return np.abs(traj.lam[-1] - exact).mean()
+
+        errors = [mean_error(dt, seed)
+                  for seed, dt in enumerate((1 / 16, 1 / 64, 1 / 256))]
+        ratios = [a / b for a, b in zip(errors, errors[1:])]
+        assert all(1.7 <= r <= 2.4 for r in ratios), (errors, ratios)
+
     def test_nonnegative_states(self):
         p = replace(BASE, eta=0.1)
         g = grid_graph(3, 3)
@@ -568,6 +599,38 @@ class TestActivationTimes:
         with pytest.raises(ValueError):
             activation_times(traj, 1.5)
 
+    @pytest.mark.parametrize("stride", [1, 7, 50])
+    def test_first_passages_recorded_equal_activation_times(self, stride):
+        # two members: A=9 activates nodes before and after the second
+        # shock, A=4 only the node that the second shock hits; that shock
+        # falls off the step grid, so the stride counter crosses a segment
+        # end
+        params = replace(SPREAD, eta_alpha=0.2)
+        g = grid_graph(6, 6, ("hub", 21))
+        schedules = [ExplicitSchedule([Shock(0.0, a, 21),
+                                       Shock(4.013, 6.0, 0)])
+                     for a in (9.0, 4.0)]
+        run = dict(t_end=10.0, dt=0.02)
+        passages = _FirstPassages(_activation_level(params, 0.2), 2 * g.n)
+        _drive_members(g, params, schedules, passages, (0.01, 0.0),
+                       record_stride=stride, **run)
+        for act, schedule in zip(passages.first.reshape(2, -1), schedules):
+            traj = integrate_network(g, params, schedule, (0.01, 0.0),
+                                     record_stride=stride, **run)
+            want = activation_times(traj, 0.2)
+            assert (want > 4.013).any() and np.isfinite(want).any()
+            assert act.tobytes() == want.tobytes()
+            assert np.asarray(passages.times).tobytes() == traj.times.tobytes()
+
+    def test_scan_keeps_the_activation_errors(self):
+        g = grid_graph(2, 2)
+        with pytest.raises(ValueError, match="threshold_fraction"):
+            double_threshold_scan(g, BASE, [1.0], 0, t_end=1.0, dt=0.1,
+                                  threshold_fraction=1.5)
+        with pytest.raises(NoExcitedStateError):
+            double_threshold_scan(g, replace(BASE, z0=0.3), [1.0], 0,
+                                  t_end=1.0, dt=0.1)
+
 
 def synthetic_trajectory(graph, act_times, horizon=20.0, lam_high=1.5):
     """A hand-built trajectory whose nodes cross 0.2*peak at given times."""
@@ -662,39 +725,88 @@ class TestDoubleThresholdScan:
         assert scan == ThresholdScan((), (), None, None, True,
                                      ("no spreading observed",))
 
-    def test_batched_scan_equals_serial_bisection(self):
-        # a 6x6 hub grid whose stronger tension inflow gives all three
-        # regimes on the grid 2/6/14 within t=15
-        params = replace(SPREAD, eta_alpha=0.2)
-        g, hub, grid = grid_graph(6, 6, ("hub", 21)), 21, [2.0, 6.0, 14.0]
-        run = dict(t_end=15.0, dt=0.02, record_stride=5)
+    # a 6x6 hub grid whose stronger tension inflow gives all three regimes
+    # within t=15
+    HUB_PARAMS = replace(SPREAD, eta_alpha=0.2)
+    HUB_RUN = dict(t_end=15.0, dt=0.02, record_stride=5)
 
-        def regime(amplitude):
-            traj = integrate_network(
-                g, params, ExplicitSchedule([Shock(0.0, amplitude, hub)]),
-                (0.01, 0.0), **run)
-            return classify_spread(traj, g, hub).regime
+    def serial_regime(self, amplitude):
+        g = grid_graph(6, 6, ("hub", 21))
+        traj = integrate_network(
+            g, self.HUB_PARAMS, ExplicitSchedule([Shock(0.0, amplitude, 21)]),
+            (0.01, 0.0), **self.HUB_RUN)
+        return classify_spread(traj, g, 21).regime
 
-        regimes = [regime(a) for a in grid]
+    def serial_scan(self, grid, rounds=3):
+        """The scan as one serial run per amplitude: the grid, then one
+        bisection round at a time of the first bracket of each level."""
+        regimes = [self.serial_regime(a) for a in grid]
         levels = [_REGIME_ORDER[r] for r in regimes]
 
         def bracket(level):
-            # the first bracket of the grid, then one serial run per round
-            lo_i = max(i for i, l in enumerate(levels) if l < level)
-            lo, hi = grid[lo_i], grid[lo_i + 1]
-            for _ in range(3):
+            pairs = [i for i in range(len(grid) - 1)
+                     if levels[i] < level
+                     and any(l >= level for l in levels[i + 1:])]
+            if not pairs:
+                return None
+            lo_i = pairs[-1]
+            hi_i = next(j for j in range(lo_i + 1, len(grid))
+                        if levels[j] >= level)
+            lo, hi = grid[lo_i], grid[hi_i]
+            for _ in range(rounds):
                 mid = 0.5 * (lo + hi)
-                if _REGIME_ORDER[regime(mid)] >= level:
+                if _REGIME_ORDER[self.serial_regime(mid)] >= level:
                     hi = mid
                 else:
                     lo = mid
             return lo, hi
 
-        assert regimes == ["contained", "local", "nonlocal"]
-        serial = ThresholdScan(tuple(grid), tuple(regimes), bracket(1),
-                               bracket(2), True, ())
-        assert double_threshold_scan(g, params, grid, hub, (0.01, 0.0),
-                                     refine_rounds=3, **run) == serial
+        monotonic = levels == sorted(levels)
+        spread, nonlocal_ = bracket(1), bracket(2)
+        flags = [] if monotonic else [
+            "classification not monotone along the grid"]
+        if set(regimes) == {"contained"}:
+            flags.append("no spreading observed")
+        elif spread is None or nonlocal_ is None:
+            flags.append("fewer than three regimes observed; partial result")
+        return ThresholdScan(tuple(grid), tuple(regimes), spread, nonlocal_,
+                             monotonic, tuple(flags))
+
+    def test_batched_scan_equals_serial_bisection(self, monkeypatch):
+        g, grid = grid_graph(6, 6, ("hub", 21)), [2.0, 6.0, 14.0]
+        batches = []
+        scan_regimes = network._scan_regimes
+
+        def spy(graph, params, amplitudes, *args):
+            regimes = scan_regimes(graph, params, amplitudes, *args)
+            batches.append(dict(zip(amplitudes, regimes)))
+            return regimes
+
+        monkeypatch.setattr(network, "_scan_regimes", spy)
+        serial = self.serial_scan(grid)
+        assert serial.regimes == ("contained", "local", "nonlocal")
+        assert serial.monotonic and serial.flags == ()
+        assert double_threshold_scan(g, self.HUB_PARAMS, grid, 21,
+                                     (0.01, 0.0), refine_rounds=3,
+                                     **self.HUB_RUN) == serial
+        # one batch: the grid and the 7 dyadic points of each interval,
+        # each labelled as its own serial run labels it
+        [batch] = batches
+        assert len(batch) == 17
+        assert batch == {a: self.serial_regime(a) for a in batch}
+
+    @pytest.mark.parametrize("grid, regimes", [
+        # nonlocal, then local: both brackets open on the first interval
+        ([2.0, 6.5, 6.75], ("contained", "nonlocal", "local")),
+        # nothing below local: only the nonlocal bracket opens
+        ([6.0, 14.0], ("local", "nonlocal"))])
+    def test_uneven_grids_equal_serial_bisection(self, grid, regimes):
+        serial = self.serial_scan(grid)
+        assert serial.regimes == regimes
+        scan = double_threshold_scan(grid_graph(6, 6, ("hub", 21)),
+                                     self.HUB_PARAMS, grid, 21, (0.01, 0.0),
+                                     refine_rounds=3, **self.HUB_RUN)
+        assert scan == serial
 
     def test_all_quiet_flags_no_spreading(self):
         g = grid_graph(1, 9)
