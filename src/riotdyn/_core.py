@@ -43,15 +43,16 @@ def rk4(rhs, lam, alpha, h):
 
 
 class Stack:
-    """A :func:`drive` recorder that keeps every record; ``arrays()`` then
-    stacks the times and the two state components along a first axis."""
+    """Every record of a run: ``add`` is the recorder to hand to
+    :func:`drive`, and ``arrays()`` then stacks the times and the two state
+    components along a first axis."""
 
     def __init__(self) -> None:
         self.times: list = []
         self.lam: list = []
         self.alpha: list = []
 
-    def __call__(self, t: float, state) -> None:
+    def add(self, t: float, state) -> None:
         self.times.append(t)
         self.lam.append(state[0])
         self.alpha.append(state[1])
@@ -75,7 +76,7 @@ def drive(step, jump, state, events, t_end: float, dt: float, stride: int,
     and the post-jump state recorded.  A group at t=0 is applied before the
     initial record; one at ``t_end`` ends the run.  Every ``stride``-th step
     is recorded, and so are the event times and ``t_end``: each record goes
-    to ``record(t, state)`` (a :class:`Stack` keeps them all), and is not
+    to ``record(t, state)`` (``Stack().add`` keeps them all), and is not
     kept here.
 
     Returns the indices, in record order, of the post-jump records.
@@ -90,7 +91,7 @@ def drive(step, jump, state, events, t_end: float, dt: float, stride: int,
         marks.append(0)
         events = events[1:]
     record(0.0, state)
-    records = 1
+    n_records = 1
 
     if not events or events[-1][0] < t_end:
         events = events + [(t_end, None)]
@@ -107,11 +108,11 @@ def drive(step, jump, state, events, t_end: float, dt: float, stride: int,
             if k == n_steps:
                 if shocks:
                     state = jump(state, shocks)
-                    marks.append(records)
+                    marks.append(n_records)
             elif step_index % stride:
                 continue
             record(t_cur, state)
-            records += 1
+            n_records += 1
     return np.asarray(marks, dtype=int)
 
 

@@ -386,7 +386,7 @@ def integrate_pde(pp: PdeParams, grid: SpatialGrid,
     marks, clamps = drive_arrays(
         partial(rk4, stage), jump,
         (initial.lam.astype(float), initial.alpha.astype(float)),
-        events, t_end, dt, record_stride, records)
+        events, t_end, dt, record_stride, records.add)
     return FieldTrajectory(*records.arrays(), marks,
                            tuple(s for _, group in events for s in group),
                            grid, pp, clamps[0])

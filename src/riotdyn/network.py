@@ -339,7 +339,7 @@ def _integrate_members(graph: Graph, params: ModelParams, schedules,
     entry in any member raises BlowUpError.  Noisy runs take one member.
     """
     records = Stack()
-    marks, clamps = _drive_members(graph, params, schedules, records,
+    marks, clamps = _drive_members(graph, params, schedules, records.add,
                                    initial, t_end, dt, noise, noise_seed,
                                    seed, record_stride)
     times, lams, alphas = records.arrays()
@@ -426,16 +426,16 @@ def activation_times(traj: NetworkTrajectory,
 
 
 class _FirstPassages:
-    """A recorder that keeps only the record times and, per entry of the
-    activity, the first record time at which it reaches ``level``: the
-    :func:`activation_times` of every member, without the trajectory."""
+    """The record times and, per entry of the activity, the first record
+    time at which it reaches ``level``: the :func:`activation_times` of
+    every member, without the trajectory.  ``add`` is the recorder."""
 
     def __init__(self, level: float, size: int) -> None:
         self.level = level
         self.times: list[float] = []
         self.first = np.full(size, np.inf)
 
-    def __call__(self, t: float, state) -> None:
+    def add(self, t: float, state) -> None:
         self.times.append(t)
         np.minimum(self.first, np.where(state[0] >= self.level, t, np.inf),
                    out=self.first)
@@ -644,7 +644,7 @@ def _scan_regimes(graph: Graph, params: ModelParams, amplitudes, seed_node,
     _drive_members(
         graph, params,
         [ExplicitSchedule([Shock(0.0, a, seed_node)]) for a in amplitudes],
-        passages, initial, t_end, dt, record_stride=record_stride)
+        passages.add, initial, t_end, dt, record_stride=record_stride)
     times = np.asarray(passages.times)
     return [_spread_report(act, times, graph, seed_node).regime
             for act in passages.first.reshape(len(amplitudes), -1)]

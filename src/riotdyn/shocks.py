@@ -128,6 +128,11 @@ class PoissonSchedule:
 ShockSchedule = ExplicitSchedule | PeriodicSchedule | PoissonSchedule | None
 
 
+def _check_horizon(horizon: float) -> None:
+    if not 0.0 < horizon < math.inf:
+        raise ValueError(f"horizon must be finite and > 0, got {horizon}")
+
+
 def realize(schedule: ShockSchedule, horizon: float,
             seed: int | None = None) -> list[Shock]:
     """Materialize a schedule as a time-sorted list of shocks on [0, horizon].
@@ -136,8 +141,7 @@ def realize(schedule: ShockSchedule, horizon: float,
     up to the horizon; Poisson ones are sampled with ``seed`` (falling back
     to the schedule's own seed).  Same inputs always give the same list.
     """
-    if not 0.0 < horizon < math.inf:
-        raise ValueError(f"horizon must be finite and > 0, got {horizon}")
+    _check_horizon(horizon)
     if schedule is None:
         return []
     if isinstance(schedule, ExplicitSchedule):
@@ -161,6 +165,7 @@ def realize(schedule: ShockSchedule, horizon: float,
 def event_count(schedule: ShockSchedule, horizon: float, seed=None) -> int:
     """``len(realize(...))``, without building a periodic schedule's shocks."""
     if isinstance(schedule, PeriodicSchedule):
+        _check_horizon(horizon)
         return int(math.floor(horizon / schedule.period)) + 1
     return len(realize(schedule, horizon, seed))
 

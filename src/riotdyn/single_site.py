@@ -150,7 +150,7 @@ def integrate_site(params: ModelParams,
     records = Stack()
     marks = drive(step, jump, (float(initial.lam), float(initial.alpha)),
                   group_events(schedule, t_end, seed), t_end, dt,
-                  record_stride, records)
+                  record_stride, records.add)
 
     if clamp_count > CLAMP_WARN_COUNT:
         warnings.warn(

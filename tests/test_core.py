@@ -108,10 +108,10 @@ def test_clamps_counted_per_row():
         return lam - drops, alpha - 2 * drops
 
     state = (np.zeros(9), np.zeros(9))
-    _, per_row = drive_arrays(move, None, state, [], 1.0, 0.5, 1, Stack(),
+    _, per_row = drive_arrays(move, None, state, [], 1.0, 0.5, 1, Stack().add,
                               rows=3)
     assert per_row == [0, 12, 12]
-    _, total = drive_arrays(move, None, state, [], 1.0, 0.5, 1, Stack())
+    _, total = drive_arrays(move, None, state, [], 1.0, 0.5, 1, Stack().add)
     assert total == [24] and isinstance(total[0], int)
 
 
@@ -123,7 +123,7 @@ def test_non_finite_row_stops_the_run():
 
     state = (np.zeros(4), np.zeros(4))
     with pytest.raises(BlowUpError):
-        drive_arrays(move, None, state, [], 1.0, 0.5, 1, Stack(), rows=2)
+        drive_arrays(move, None, state, [], 1.0, 0.5, 1, Stack().add, rows=2)
 
 
 @pytest.mark.parametrize("field", [0, 1])
@@ -136,7 +136,7 @@ def test_step_to_minus_infinity_stops_the_run(field):
 
     state = (np.zeros(4), np.zeros(4))
     with pytest.raises(BlowUpError):
-        drive_arrays(move, None, state, [], 1.0, 0.5, 1, Stack())
+        drive_arrays(move, None, state, [], 1.0, 0.5, 1, Stack().add)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -154,7 +154,7 @@ def test_any_non_finite_entry_stops_the_run_before_a_clamp(field, bad):
 
     state = (np.zeros(8), np.zeros(8))
     with pytest.raises(BlowUpError) as info:
-        drive_arrays(move, None, state, [], 1.0, 0.5, 1, Stack())
+        drive_arrays(move, None, state, [], 1.0, 0.5, 1, Stack().add)
     assert info.value.time == 0.5
     other = seen[-1][1 - field]
     assert (other == -1.0).all()
@@ -166,7 +166,7 @@ def test_negative_zero_is_neither_counted_nor_changed():
 
     state = (np.ones(6), np.full(6, -0.0))
     records = Stack()
-    _, clamps = drive_arrays(move, None, state, [], 1.0, 0.5, 1, records,
+    _, clamps = drive_arrays(move, None, state, [], 1.0, 0.5, 1, records.add,
                              rows=3)
     _, lams, alphas = records.arrays()
     assert clamps == [0, 0, 0]
@@ -184,7 +184,7 @@ def test_clamps_counted_per_row_only_below_the_roundoff_floor():
 
     state = (np.ones(6), np.ones(6))
     records = Stack()
-    _, clamps = drive_arrays(move, None, state, [], 1.5, 0.5, 1, records,
+    _, clamps = drive_arrays(move, None, state, [], 1.5, 0.5, 1, records.add,
                              rows=3)
     _, lams, alphas = records.arrays()
     assert clamps == [0, 12, 0]

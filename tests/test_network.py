@@ -612,7 +612,7 @@ class TestActivationTimes:
                      for a in (9.0, 4.0)]
         run = dict(t_end=10.0, dt=0.02)
         passages = _FirstPassages(_activation_level(params, 0.2), 2 * g.n)
-        _drive_members(g, params, schedules, passages, (0.01, 0.0),
+        _drive_members(g, params, schedules, passages.add, (0.01, 0.0),
                        record_stride=stride, **run)
         for act, schedule in zip(passages.first.reshape(2, -1), schedules):
             traj = integrate_network(g, params, schedule, (0.01, 0.0),

@@ -9,6 +9,7 @@ import pytest
 
 from riotdyn import (AmplitudeLaw, ExplicitSchedule, PeriodicSchedule,
                      PoissonSchedule, Shock, realize)
+from riotdyn.shocks import event_count
 
 
 class TestShockValidation:
@@ -50,6 +51,15 @@ class TestRealize:
     def test_rejects_nonpositive_horizon(self):
         with pytest.raises(ValueError):
             realize(PeriodicSchedule(1.0, 1.0), 0.0)
+
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan])
+    def test_rejects_non_finite_horizon(self, horizon):
+        # event_count skips realize for a periodic schedule, so it checks
+        # the horizon itself; int() would overflow on inf, fail on NaN
+        schedule = PeriodicSchedule(1.0, 1.0)
+        for count in (realize, event_count):
+            with pytest.raises(ValueError, match="horizon"):
+                count(schedule, horizon)
 
     def test_poisson_deterministic_in_seed(self):
         sched = PoissonSchedule(0.5, AmplitudeLaw("exponential", 2.0))
