@@ -1,6 +1,6 @@
 """What the site, network and continuum integrators share: shock grouping,
-RK4 on array pairs, the event-driven stepping loop, the recorder that stacks
-its records, and the columnar writer.
+RK4 in place on one stacked array state, the event-driven stepping loop, the
+clamp rule, the recorder that stacks its records, and the columnar writer.
 The models differ only in their right-hand sides and in how a shock enters
 the tension, which they hand to :func:`drive` as a step and a jump.
 """
@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 
 import numpy as np
 
@@ -15,6 +16,7 @@ from .errors import BlowUpError
 from .shocks import Shock, ShockSchedule, realize
 
 NEGATIVITY_CLAMP = 1e-12   # roundoff below this magnitude is clamped silently
+CLAMP_WARN_COUNT = 1_000_000   # a run that counts more clamps than this warns
 WRITE_CHUNK_ROWS = 1024
 TABLE_SCHEMA_VERSION = 1   # of the .schema.json sidecar of every table
 
@@ -32,14 +34,49 @@ def group_events(schedule: ShockSchedule, horizon: float,
     return grouped
 
 
-def rk4(rhs, lam, alpha, h):
-    """One classical RK4 step of ``rhs(lam, alpha) -> (dlam, dalpha)``."""
-    d1l, d1a = rhs(lam, alpha)
-    d2l, d2a = rhs(lam + 0.5 * h * d1l, alpha + 0.5 * h * d1a)
-    d3l, d3a = rhs(lam + 0.5 * h * d2l, alpha + 0.5 * h * d2a)
-    d4l, d4a = rhs(lam + h * d3l, alpha + h * d3a)
-    return (lam + h * (d1l + 2 * d2l + 2 * d3l + d4l) / 6.0,
-            alpha + h * (d1a + 2 * d2a + 2 * d3a + d4a) / 6.0)
+def rk4(f, shape):
+    """The classical RK4 step of ``f(y, out)``, which writes dy/dt at ``y``
+    into ``out``, as ``move(y, h)`` for states of ``shape``.
+
+    The stage state and k1..k4 are buffers made here once and reused by
+    every step; each step returns a new array, so a recorder may keep it.
+    """
+    k1, k2, k3, k4, z = (np.empty(shape) for _ in range(5))
+
+    def move(y, h):
+        f(y, k1)
+        np.multiply(k1, 0.5 * h, out=z)
+        f(np.add(y, z, out=z), k2)
+        np.multiply(k2, 0.5 * h, out=z)
+        f(np.add(y, z, out=z), k3)
+        np.multiply(k3, h, out=z)
+        f(np.add(y, z, out=z), k4)
+        # y + h * (((k1 + 2 k2) + 2 k3) + k4) / 6, in that association
+        np.multiply(k2, 2.0, out=k2)
+        np.add(k1, k2, out=k1)
+        np.multiply(k3, 2.0, out=k3)
+        np.add(k1, k3, out=k1)
+        np.add(k1, k4, out=k1)
+        np.multiply(k1, h, out=k1)
+        np.divide(k1, 6.0, out=k1)
+        return np.add(y, k1)
+    return move
+
+
+def rhs_pair(f, lam, alpha) -> tuple[np.ndarray, np.ndarray]:
+    """``f(y, out)`` at the state (lam, alpha), as (dlam, dalpha)."""
+    y = np.array((lam, alpha), dtype=float)
+    out = np.empty_like(y)
+    f(y, out)
+    return out[0], out[1]
+
+
+def warn_clamps(count: int, stacklevel: int = 2) -> None:
+    """Warn when one run counted more than CLAMP_WARN_COUNT clamps."""
+    if count > CLAMP_WARN_COUNT:
+        warnings.warn(
+            f"integration clamped {count} negative values; results may be "
+            "dominated by roundoff", stacklevel=stacklevel + 1)
 
 
 class Stack:
@@ -116,31 +153,38 @@ def drive(step, jump, state, events, t_end: float, dt: float, stride: int,
     return np.asarray(marks, dtype=int)
 
 
-def drive_arrays(move, jump, state, events, t_end: float, dt: float,
+def drive_arrays(move, jump, y, events, t_end: float, dt: float,
                  stride: int, record, rows: int = 1):
-    """:func:`drive` for a pair of arrays advanced by ``move(lam, alpha, h)``.
+    """:func:`drive` for a state ``y`` of shape (2, ...), activity in row 0
+    and tension in row 1, advanced by ``move(y, h)`` to a new array.
 
-    After each move an entry that is NaN or inf (seen in an array's min or
+    After each move an entry that is NaN or inf (seen in the state's min or
     max) raises BlowUpError, the array models' only finite check, with
-    numpy's overflow warnings silenced; then negative entries are clamped to
-    zero.  Returns drive's marks and a list with, for each of ``rows``
-    equal row blocks, the number of entries clamped below -NEGATIVITY_CLAMP.
+    numpy's overflow warnings silenced.  Then each of the two rows whose own
+    min is below zero has its negative entries clamped to zero; a row
+    without one keeps its -0.0 entries.  Returns drive's marks and a list
+    with, for each of ``rows`` equal blocks of a row (the members of a
+    batch), the number of entries of both rows clamped below
+    -NEGATIVITY_CLAMP; a block whose count passes CLAMP_WARN_COUNT warns.
     """
     clamps = np.zeros(rows, dtype=int)
 
-    def step(state, t, h):
-        pair = move(state[0], state[1], h)
-        lows = [a.min() for a in pair]
-        if not all(map(math.isfinite, lows + [a.max() for a in pair])):
+    def step(y, t, h):
+        y = move(y, h)
+        low = y.min()
+        if not (math.isfinite(low) and math.isfinite(y.max())):
             raise BlowUpError(t)
-        for a, low in zip(pair, lows):
-            if low < 0.0:
-                clamps[:] += (a < -NEGATIVITY_CLAMP).reshape(rows, -1).sum(1)
-                np.maximum(a, 0.0, out=a)
-        return pair
+        if low < 0.0:
+            for row in y:
+                if row.min() < 0.0:
+                    clamps[:] += (row < -NEGATIVITY_CLAMP).reshape(
+                        rows, -1).sum(1)
+                    np.maximum(row, 0.0, out=row)
+        return y
 
     with np.errstate(over="ignore", invalid="ignore"):
-        marks = drive(step, jump, state, events, t_end, dt, stride, record)
+        marks = drive(step, jump, y, events, t_end, dt, stride, record)
+    warn_clamps(int(clamps.max()), 3)
     return marks, clamps.tolist()
 
 

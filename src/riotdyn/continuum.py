@@ -32,11 +32,11 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
-from ._core import Stack, drive_arrays, group_events, rk4, write_table
+from ._core import (Stack, drive_arrays, group_events, rhs_pair, rk4,
+                    write_table)
 from .errors import NoExcitedStateError
 from .model import (ModelParams, peak_activity,
                     self_reinforcement, self_reinforcement_arr,
@@ -210,16 +210,27 @@ def cfl_time_step(grid: SpatialGrid, pp: PdeParams) -> float:
 def laplacian(u: np.ndarray, dx: float) -> np.ndarray:
     """Second-order central-difference Laplacian with zero-flux boundaries
     (an edge cell stands in for its missing neighbour), in one new array."""
-    lap = np.empty_like(u)
-    np.add(u[:-2], u[2:], out=lap[1:-1])
-    np.add(u[:1], u[1:2], out=lap[:1])
-    np.add(u[-2:-1], u[-1:], out=lap[-1:])
-    if u.ndim == 2:
-        lap[:, 1:] += u[:, :-1]
-        lap[:, :1] += u[:, :1]
-        lap[:, :-1] += u[:, 1:]
-        lap[:, -1:] += u[:, -1:]
-    lap -= 2.0 * u.ndim * u
+    return _stencil(u, dx, u.ndim, np.empty_like(u))
+
+
+def _stencil(u: np.ndarray, dx: float, ndim: int, lap: np.ndarray,
+             tmp: np.ndarray | None = None) -> np.ndarray:
+    """:func:`laplacian` over the last ``ndim`` axes of ``u``, written into
+    ``lap``; ``tmp``, of u's shape, holds the centre term when it is given.
+    The leading axes (the two fields of a stacked state) are batched."""
+    if ndim == 1:
+        np.add(u[..., :-2], u[..., 2:], out=lap[..., 1:-1])
+        np.add(u[..., :1], u[..., 1:2], out=lap[..., :1])
+        np.add(u[..., -2:-1], u[..., -1:], out=lap[..., -1:])
+    else:
+        np.add(u[..., :-2, :], u[..., 2:, :], out=lap[..., 1:-1, :])
+        np.add(u[..., :1, :], u[..., 1:2, :], out=lap[..., :1, :])
+        np.add(u[..., -2:-1, :], u[..., -1:, :], out=lap[..., -1:, :])
+        lap[..., 1:] += u[..., :-1]
+        lap[..., :1] += u[..., :1]
+        lap[..., :-1] += u[..., 1:]
+        lap[..., -1:] += u[..., -1:]
+    lap -= np.multiply(u, 2.0 * ndim, out=tmp)
     lap /= dx * dx
     return lap
 
@@ -251,21 +262,30 @@ def kernel_matrix(grid: SpatialGrid, spec: NonlocalSpec) -> np.ndarray:
 
 
 def _make_rhs(grid: SpatialGrid, pp: PdeParams, K: np.ndarray | None = None):
-    """The local or nonlocal RHS as a function of (lam, alpha); the kernel
-    matrix and the constants are computed once here, not per call."""
+    """The local or nonlocal RHS as ``f(y, out)``, which writes the
+    derivatives at the stacked fields ``y`` (activity in row 0, tension in
+    row 1) into another array ``out``.  The kernel matrix, the constants
+    and the work buffers are made once here, not per call."""
     m, spec = pp.model, pp.nonlocal_spec
-    D, dx, kappa = pp.D, grid.dx, m.kappa
+    D, dx, kappa, nd = pp.D, grid.dx, m.kappa, grid.dimension
     inflow = m.theta * m.alpha_b
+    # the Laplacian's centre term, then two temporaries of one field
+    tmp = np.empty((2,) + grid.shape)
+    t1, t2 = tmp
     if spec is None:
-        def rhs(lam, alpha):
-            dlam = (D * laplacian(lam, dx)
-                    + transition_rate_arr(alpha, m)
-                    * self_reinforcement_arr(lam, m)
-                    - kappa * lam)
-            dalpha = (D * laplacian(alpha, dx)
-                      - (tension_decay_rate_arr(lam, m) - m.eta) * alpha
-                      + inflow)
-            return dlam, dalpha
+        def rhs(y, out):
+            lam, alpha = y
+            dlam, dalpha = out
+            _stencil(y, dx, nd, out, tmp)
+            out *= D
+            transition_rate_arr(alpha, m, out=t1)
+            dlam += np.multiply(t1, self_reinforcement_arr(lam, m, out=t2),
+                                out=t1)
+            dlam -= np.multiply(lam, kappa, out=t1)
+            tension_decay_rate_arr(lam, m, out=t1)
+            np.subtract(t1, m.eta, out=t1)
+            dalpha -= np.multiply(t1, alpha, out=t1)
+            dalpha += inflow
         return rhs
 
     if K is None:
@@ -274,18 +294,25 @@ def _make_rhs(grid: SpatialGrid, pp: PdeParams, K: np.ndarray | None = None):
     averaging = spec.variant == "averaging"
     duplicate_decay = not spec.drop_duplicate_decay
 
-    def rhs(lam, alpha):
-        dlam = (D * laplacian(lam, dx)
-                - kappa * lam
-                + transition_rate_arr(alpha, m) * self_reinforcement_arr(lam, m)
-                + source)
-        coupled = K @ alpha
-        decay = tension_decay_rate_arr(lam, m)
-        if averaging:
-            return dlam, eta_bar * coupled - decay * alpha + inflow
-        if duplicate_decay:
-            decay = decay + eta_bar
-        return dlam, eta_bar * (coupled - alpha) - decay * alpha + inflow
+    def rhs(y, out):
+        lam, alpha = y
+        dlam, dalpha = out
+        _stencil(y[:1], dx, 1, out[:1], tmp[:1])
+        dlam *= D
+        dlam -= np.multiply(lam, kappa, out=t1)
+        transition_rate_arr(alpha, m, out=t1)
+        dlam += np.multiply(t1, self_reinforcement_arr(lam, m, out=t2),
+                            out=t1)
+        dlam += source
+        np.matmul(K, alpha, out=dalpha)
+        if not averaging:
+            dalpha -= alpha
+        dalpha *= eta_bar
+        tension_decay_rate_arr(lam, m, out=t1)
+        if not averaging and duplicate_decay:
+            np.add(t1, eta_bar, out=t1)
+        dalpha -= np.multiply(t1, alpha, out=t1)
+        dalpha += inflow
     return rhs
 
 
@@ -294,7 +321,7 @@ def pde_rhs_local(state: FieldState, grid: SpatialGrid,
     """Right-hand side of the local-diffusion system."""
     if pp.nonlocal_spec is not None:
         pp = replace(pp, nonlocal_spec=None)
-    return _make_rhs(grid, pp)(state.lam, state.alpha)
+    return rhs_pair(_make_rhs(grid, pp), state.lam, state.alpha)
 
 
 def pde_rhs_nonlocal(state: FieldState, grid: SpatialGrid, pp: PdeParams,
@@ -303,7 +330,7 @@ def pde_rhs_nonlocal(state: FieldState, grid: SpatialGrid, pp: PdeParams,
     """Right-hand side of the nonlocal-tension system."""
     if pp.nonlocal_spec is None:
         raise ValueError("nonlocal RHS needs pde params with a nonlocal spec")
-    return _make_rhs(grid, pp, K)(state.lam, state.alpha)
+    return rhs_pair(_make_rhs(grid, pp, K), state.lam, state.alpha)
 
 
 @dataclass(frozen=True)
@@ -370,23 +397,23 @@ def integrate_pde(pp: PdeParams, grid: SpatialGrid,
             f"initial fields must have shape {grid.shape}, got "
             f"{initial.lam.shape}")
 
-    rhs = _make_rhs(grid, pp)
-
-    def stage(lam, alpha):
-        return rhs(np.maximum(lam, 0.0), np.maximum(alpha, 0.0))
-
-    def jump(state, shocks):
-        alpha = state[1].copy()
+    def jump(y, shocks):
+        y = y.copy()
         for s in shocks:
-            _deposit_field(grid, pp, s, alpha)
-        return state[0], alpha
+            _deposit_field(grid, pp, s, y[1])
+        return y
+
+    rhs = _make_rhs(grid, pp)
+    y = np.array((initial.lam, initial.alpha), dtype=float)
+    clamped = np.empty_like(y)
+
+    def stage(y, out):
+        rhs(np.maximum(y, 0.0, out=clamped), out)
 
     events = group_events(schedule, t_end, seed)
     records = Stack()
-    marks, clamps = drive_arrays(
-        partial(rk4, stage), jump,
-        (initial.lam.astype(float), initial.alpha.astype(float)),
-        events, t_end, dt, record_stride, records.add)
+    marks, clamps = drive_arrays(rk4(stage, y.shape), jump, y, events, t_end,
+                                 dt, record_stride, records.add)
     return FieldTrajectory(*records.arrays(), marks,
                            tuple(s for _, group in events for s in group),
                            grid, pp, clamps[0])

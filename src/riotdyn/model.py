@@ -182,25 +182,44 @@ def tension_rate(lam: float, alpha: float, params: ModelParams) -> float:
     return params.theta * params.alpha_b - alpha * tension_decay_rate(lam, params)
 
 
-def self_reinforcement_arr(z: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Elementwise G over an array of activities."""
+def self_reinforcement_arr(z: np.ndarray, params: ModelParams,
+                           out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise G over an array of activities, written into ``out`` when
+    it is given."""
     z = np.asarray(z, dtype=float)
-    return z * (params.z0 - z)
+    g = np.subtract(params.z0, z, out=out)
+    g *= z
+    return g
 
 
-def transition_rate_arr(alpha: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Elementwise r over an array of tensions."""
+def transition_rate_arr(alpha: np.ndarray, params: ModelParams,
+                        out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise r over an array of tensions, written into ``out`` when it
+    is given; the exponent is clipped to [-700, 700]."""
     alpha = np.asarray(alpha, dtype=float)
-    x = np.clip(-params.beta * (alpha - params.a), -700.0, 700.0)
-    return 1.0 / (1.0 + np.exp(x))
+    x = np.subtract(alpha, params.a, out=out)
+    x *= -params.beta
+    np.maximum(x, -700.0, out=x)
+    np.minimum(x, 700.0, out=x)
+    np.exp(x, out=x)
+    x += 1.0
+    return np.divide(1.0, x, out=x)
 
 
-def tension_decay_rate_arr(lam: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Elementwise h over an array of activities."""
+def tension_decay_rate_arr(lam: np.ndarray, params: ModelParams,
+                           out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise h over an array of activities, written into ``out`` when
+    it is given."""
     lam = np.asarray(lam, dtype=float)
     if params.decay_form == "power":
-        return params.theta * (1.0 + lam / params.lambda1) ** (-params.p)
-    return params.theta * np.exp(-params.p * lam)
+        h = np.divide(lam, params.lambda1, out=out)
+        h += 1.0
+        h **= -params.p
+    else:
+        h = np.multiply(lam, -params.p, out=out)
+        np.exp(h, out=h)
+    h *= params.theta
+    return h
 
 
 def _bisect(f: Callable[[float], float], lo: float, hi: float,

@@ -24,11 +24,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
-from ._core import Stack, drive_arrays, group_events, rk4, write_table
+from ._core import (Stack, drive_arrays, group_events, rhs_pair, rk4,
+                    write_table)
 from .model import (ModelParams, peak_activity, required_peak_activity,
                     self_reinforcement_arr, tension_decay_rate,
                     tension_decay_rate_arr, transition_rate_arr)
@@ -249,42 +250,54 @@ def _validate_coupling(graph: Graph, params: ModelParams) -> None:
 def network_rhs(state: NetworkState, graph: Graph,
                 params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Per-node time derivatives of (activity, tension)."""
-    return _make_rhs(graph, params)(state.lam, state.alpha)
+    return rhs_pair(_make_rhs(graph, params), state.lam, state.alpha)
 
 
 def _make_rhs(graph: Graph, params: ModelParams, members: int = 1):
-    """The RHS as a function of (lam, alpha); what depends only on the graph
-    and the params is computed once here, not per call.
+    """The RHS as ``f(y, out)``, which writes the derivatives at the state
+    ``y`` (activity in row 0, tension in row 1) into another array ``out``.
+    What depends only on the graph and the params, and the work buffers,
+    are made once here, not per call.
 
-    The states may hold ``members`` states end to end, shape (members*n,).
-    Member b's edges are offset by b*n, so one bincount per coupling serves
-    every member and sums each bin in the order of a one-member call.
+    A row may hold ``members`` states end to end, shape (2, members*n).
+    Member b's edges are offset by b*n, and the tension row's by a further
+    members*n, so one bincount serves both couplings and every member and
+    sums each bin in the order of a one-member call.
     """
     n = members * graph.n
     offsets = graph.n * np.arange(members)[:, None]
     geo_rows, geo_cols = ((e + offsets).ravel() for e in graph.edges_geo)
-    social_rows, social_cols = ((e + offsets).ravel()
+    social_rows, social_cols = ((e + offsets + n).ravel()
                                 for e in graph.edges_social)
-    degrees = np.tile(graph.degrees_geo, members)
-    geo_weight = params.eta / np.maximum(degrees, 1)
+    rows = np.concatenate((geo_rows, social_rows))
+    cols = np.concatenate((geo_cols, social_cols))
+    degrees = np.tile(graph.degrees_geo, members).astype(float)
+    geo_weight = params.eta / np.maximum(degrees, 1.0)
     eta_a = params.eta if params.eta_alpha is None else params.eta_alpha
     social_weight = eta_a / np.tile(np.maximum(graph.degrees_social, 1),
                                     members)
+    omega, lam_b = params.omega, params.lambda_b
     inflow = params.theta * params.alpha_b
+    weights, t1, t2 = np.empty(cols.size), np.empty(n), np.empty(n)
 
-    def rhs(lam, alpha):
-        lap = (np.bincount(geo_rows, weights=lam[geo_cols], minlength=n)
-               - degrees * lam)
-        dlam = (geo_weight * lap
-                - params.omega * (lam - params.lambda_b)
-                + transition_rate_arr(alpha, params)
-                * self_reinforcement_arr(lam, params))
-        social = np.bincount(social_rows, weights=alpha[social_cols],
-                             minlength=n)
-        dalpha = (social_weight * social
-                  - tension_decay_rate_arr(lam, params) * alpha
-                  + inflow)
-        return dlam, dalpha
+    def rhs(y, out):
+        lam, alpha = y
+        dlam, dalpha = out
+        sums = np.bincount(rows, minlength=2 * n, weights=np.take(
+            y.reshape(-1), cols, out=weights, mode="clip"))
+        np.multiply(degrees, lam, out=t1)
+        np.subtract(sums[:n], t1, out=t1)
+        np.multiply(geo_weight, t1, out=t1)
+        np.subtract(lam, lam_b, out=t2)
+        np.multiply(omega, t2, out=t2)
+        np.subtract(t1, t2, out=dlam)
+        transition_rate_arr(alpha, params, out=t1)
+        dlam += np.multiply(t1, self_reinforcement_arr(lam, params, out=t2),
+                            out=t1)
+        np.multiply(social_weight, sums[n:], out=dalpha)
+        tension_decay_rate_arr(lam, params, out=t1)
+        dalpha -= np.multiply(t1, alpha, out=t1)
+        dalpha += inflow
     return rhs
 
 
@@ -354,10 +367,14 @@ def _drive_members(graph: Graph, params: ModelParams, schedules, record,
                    noise_seed: int = 0, seed: int | None = None,
                    record_stride: int = 1):
     """The stepping of :func:`_integrate_members`: each record goes to
-    ``record(t, (lam, alpha))``, the members' states end to end, and is not
+    ``record(t, y)``, y of shape (2, members*n) with the activity in row 0,
+    the tension in row 1 and the members end to end in each row, and is not
     kept.  Returns the shock marks and the per-member clamp counts."""
     if noise not in ("none", "brownian"):
         raise ValueError(f"noise must be none or brownian, got {noise!r}")
+    if noise == "brownian" and len(schedules) > 1:
+        raise ValueError("noisy runs take one member, got "
+                         f"{len(schedules)}")
     _validate_coupling(graph, params)
     lam_star = peak_activity(params)
     eta_a = params.eta if params.eta_alpha is None else params.eta_alpha
@@ -379,31 +396,36 @@ def _drive_members(graph: Graph, params: ModelParams, schedules, record,
         check_node_site(s.site, graph.n)
 
     members = len(schedules)
-    lam, alpha = (np.tile(np.full(graph.n, x, dtype=float), members)
+    y = np.array([np.tile(np.full(graph.n, x, dtype=float), members)
                   for x in ((initial.lam, initial.alpha)
-                            if isinstance(initial, NetworkState) else initial))
+                            if isinstance(initial, NetworkState)
+                            else initial)])
     rhs = _make_rhs(graph, params, members)
     if noise == "brownian":
         rng = np.random.default_rng(noise_seed)
-        sigma = params.sigma
+        sigma, k = params.sigma, np.empty_like(y)
 
-        def move(lam, alpha, h):
-            dl, da = rhs(lam, alpha)
-            xi = rng.standard_normal(graph.n)
-            return (lam + h * dl + sigma * lam * math.sqrt(h) * xi,
-                    alpha + h * da)
+        def move(y, h):
+            rhs(y, k)
+            new = np.multiply(k, h)
+            new += y
+            kick = np.multiply(y[0], sigma)
+            kick *= math.sqrt(h)
+            kick *= rng.standard_normal(graph.n)
+            new[0] += kick
+            return new
     else:
-        move = partial(rk4, rhs)
+        move = rk4(rhs, y.shape)
 
-    def jump(state, groups):
-        alpha = state[1].copy()
-        for row, shocks in zip(alpha.reshape(members, -1), groups):
+    def jump(y, groups):
+        y = y.copy()
+        for row, shocks in zip(y[1].reshape(members, -1), groups):
             for s in shocks:
                 row[s.site] += s.amplitude
-        return state[0], alpha
+        return y
 
-    return drive_arrays(move, jump, (lam, alpha), events, t_end, dt,
-                        record_stride, record, members)
+    return drive_arrays(move, jump, y, events, t_end, dt, record_stride,
+                        record, members)
 
 
 def _activation_level(params: ModelParams, threshold_fraction: float) -> float:

@@ -14,13 +14,12 @@ hysteresis sweep over the base tension.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._core import (NEGATIVITY_CLAMP, Stack, drive, group_events,
-                    write_table)
+                    warn_clamps, write_table)
 from .errors import BlowUpError
 from .model import (ModelParams, SiteState, fixed_points,
                     required_peak_activity, tension_nullcline)
@@ -39,7 +38,6 @@ __all__ = [
     "load_trajectory",
 ]
 
-CLAMP_WARN_COUNT = 1_000_000
 # Sustained-regime floor and transient handling for forced runs.
 SUSTAINED_FLOOR_BASE_FACTOR = 10.0
 SUSTAINED_FLOOR_PEAK_FRACTION = 0.05
@@ -152,10 +150,7 @@ def integrate_site(params: ModelParams,
                   group_events(schedule, t_end, seed), t_end, dt,
                   record_stride, records.add)
 
-    if clamp_count > CLAMP_WARN_COUNT:
-        warnings.warn(
-            f"integration clamped {clamp_count} negative values; results may "
-            "be dominated by roundoff", stacklevel=2)
+    warn_clamps(clamp_count)
     return Trajectory(*records.arrays(), marks, params, clamp_count)
 
 

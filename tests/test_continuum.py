@@ -92,6 +92,12 @@ class TestLaplacian:
            st.floats(0.01, 2.0))
     def test_slice_stencil_keeps_the_padded_bits(self, u, dx):
         assert_same_bytes(laplacian(u, dx), padded_laplacian(u, dx))
+        # the two fields of a stacked state, as the integrator steps them
+        y = np.stack((u, u[::-1] * 0.5))
+        want = np.stack([padded_laplacian(v, dx) for v in y])
+        assert_same_bytes(continuum._stencil(y, dx, u.ndim,
+                                             np.empty_like(y),
+                                             np.empty_like(y)), want)
 
     def test_uniform_field_is_flat(self):
         assert np.all(laplacian(np.full(32, 3.7), 0.1) == 0.0)

@@ -2,6 +2,7 @@
 continuum integrators."""
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from riotdyn import (BlowUpError, ExplicitSchedule, FieldState, ModelParams,
                      PdeParams, Shock, SiteState, SpatialGrid, grid_graph,
                      integrate_network, integrate_pde, integrate_site)
-from riotdyn import single_site
+from riotdyn import _core, single_site
 from riotdyn._core import Stack, drive_arrays, write_table
 
 from conftest import BASE
@@ -104,39 +105,39 @@ def test_clamps_counted_per_row():
     # entries per step
     drops = np.repeat(np.arange(3.0), 3)
 
-    def move(lam, alpha, h):
-        return lam - drops, alpha - 2 * drops
+    def move(y, h):
+        return y - [drops, 2 * drops]
 
-    state = (np.zeros(9), np.zeros(9))
-    _, per_row = drive_arrays(move, None, state, [], 1.0, 0.5, 1, Stack().add,
+    y = np.zeros((2, 9))
+    _, per_row = drive_arrays(move, None, y, [], 1.0, 0.5, 1, Stack().add,
                               rows=3)
     assert per_row == [0, 12, 12]
-    _, total = drive_arrays(move, None, state, [], 1.0, 0.5, 1, Stack().add)
+    _, total = drive_arrays(move, None, y, [], 1.0, 0.5, 1, Stack().add)
     assert total == [24] and isinstance(total[0], int)
 
 
 def test_non_finite_row_stops_the_run():
-    def move(lam, alpha, h):
-        lam = lam.copy()
-        lam[3] = np.inf
-        return lam, alpha.copy()
+    def move(y, h):
+        y = y.copy()
+        y[0, 3] = np.inf
+        return y
 
-    state = (np.zeros(4), np.zeros(4))
     with pytest.raises(BlowUpError):
-        drive_arrays(move, None, state, [], 1.0, 0.5, 1, Stack().add, rows=2)
+        drive_arrays(move, None, np.zeros((2, 4)), [], 1.0, 0.5, 1,
+                     Stack().add, rows=2)
 
 
 @pytest.mark.parametrize("field", [0, 1])
 def test_step_to_minus_infinity_stops_the_run(field):
     # the finite check comes before the clamp, which would turn -inf into 0
-    def move(lam, alpha, h):
-        out = [lam.copy(), alpha.copy()]
-        out[field][2] = -np.inf
-        return tuple(out)
+    def move(y, h):
+        y = y.copy()
+        y[field, 2] = -np.inf
+        return y
 
-    state = (np.zeros(4), np.zeros(4))
     with pytest.raises(BlowUpError):
-        drive_arrays(move, None, state, [], 1.0, 0.5, 1, Stack().add)
+        drive_arrays(move, None, np.zeros((2, 4)), [], 1.0, 0.5, 1,
+                     Stack().add)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -146,27 +147,27 @@ def test_any_non_finite_entry_stops_the_run_before_a_clamp(field, bad):
     # or counted before the abort
     seen = []
 
-    def move(lam, alpha, h):
-        out = [lam - 1.0, alpha - 1.0]
-        out[field][5] = bad
-        seen.append(out)
-        return tuple(out)
+    def move(y, h):
+        y = y - 1.0
+        y[field, 5] = bad
+        seen.append(y)
+        return y
 
-    state = (np.zeros(8), np.zeros(8))
     with pytest.raises(BlowUpError) as info:
-        drive_arrays(move, None, state, [], 1.0, 0.5, 1, Stack().add)
+        drive_arrays(move, None, np.zeros((2, 8)), [], 1.0, 0.5, 1,
+                     Stack().add)
     assert info.value.time == 0.5
     other = seen[-1][1 - field]
     assert (other == -1.0).all()
 
 
 def test_negative_zero_is_neither_counted_nor_changed():
-    def move(lam, alpha, h):
-        return np.full_like(lam, -0.0), alpha * 1.0
+    def move(y, h):
+        return np.array([np.full_like(y[0], -0.0), y[1] * 1.0])
 
-    state = (np.ones(6), np.full(6, -0.0))
+    y = np.array([np.ones(6), np.full(6, -0.0)])
     records = Stack()
-    _, clamps = drive_arrays(move, None, state, [], 1.0, 0.5, 1, records.add,
+    _, clamps = drive_arrays(move, None, y, [], 1.0, 0.5, 1, records.add,
                              rows=3)
     _, lams, alphas = records.arrays()
     assert clamps == [0, 0, 0]
@@ -174,22 +175,88 @@ def test_negative_zero_is_neither_counted_nor_changed():
     assert np.signbit(alphas).all()
 
 
+@pytest.mark.parametrize("field", [0, 1])
+def test_a_clamped_row_leaves_the_other_rows_negative_zero(field):
+    # numpy's maximum(-0.0, 0.0) may return +0.0, so clamping the whole
+    # state when one row dips would rewrite the other row's -0.0
+    def move(y, h):
+        y = np.full_like(y, -0.0)
+        y[field, 1::2] = -1.0
+        return y
+
+    records = Stack()
+    _, clamps = drive_arrays(move, None, np.zeros((2, 6)), [], 1.0, 0.5, 1,
+                             records.add, rows=3)
+    rows = records.arrays()[1:]
+    assert clamps == [2, 2, 2]
+    assert (rows[field][1:] == 0.0).all()
+    assert np.signbit(rows[1 - field][1:]).all()
+    assert (rows[1 - field][1:] == 0.0).all()
+
+
 def test_clamps_counted_per_row_only_below_the_roundoff_floor():
     # row 0 dips by roundoff, row 1 by a true negative, row 2 not at all;
     # all three rows of both fields end clamped to zero
     dips = np.repeat([-1e-13, -1.0, 0.0], 2)
 
-    def move(lam, alpha, h):
-        return lam * 0.0 + dips, alpha * 0.0 + 2 * dips
+    def move(y, h):
+        return y * 0.0 + [dips, 2 * dips]
 
-    state = (np.ones(6), np.ones(6))
     records = Stack()
-    _, clamps = drive_arrays(move, None, state, [], 1.5, 0.5, 1, records.add,
-                             rows=3)
+    _, clamps = drive_arrays(move, None, np.ones((2, 6)), [], 1.5, 0.5, 1,
+                             records.add, rows=3)
     _, lams, alphas = records.arrays()
     assert clamps == [0, 12, 0]
     assert (lams[1:] == 0.0).all() and (alphas[1:] == 0.0).all()
     assert not np.signbit(lams[1:, :4]).any()
+
+
+def test_a_run_over_the_clamp_limit_warns(monkeypatch):
+    # the rows clamp 0, 12 and 12 entries; a run warns once one of them
+    # passes the limit, the site's runs by the same constant
+    drops = np.repeat(np.arange(3.0), 3)
+
+    def move(y, h):
+        return y - [drops, 2 * drops]
+
+    def run(limit):
+        monkeypatch.setattr(_core, "CLAMP_WARN_COUNT", limit)
+        drive_arrays(move, None, np.zeros((2, 9)), [], 1.0, 0.5, 1,
+                     Stack().add, rows=3)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run(12)
+    with pytest.warns(UserWarning, match="clamped 12 negative values"):
+        run(11)
+    monkeypatch.setattr(_core, "CLAMP_WARN_COUNT", 9)
+    monkeypatch.setattr(single_site, "_make_rhs",
+                        lambda params: lambda lam, alpha: (-1.0, 0.0))
+    with pytest.warns(UserWarning, match="clamped 10 negative values"):
+        integrate_site(BASE, None, SiteState(0.0, 0.5), T_END, dt=DT)
+
+
+@pytest.mark.parametrize("model", ["network", "pde"])
+def test_strided_records_are_every_third_record(model):
+    # records that were views of a reused buffer would all hold its last
+    # state: each step moves the state here, so the records must differ
+    def trajectory(stride):
+        if model == "network":
+            return integrate_network(
+                grid_graph(2, 3), NET, ExplicitSchedule([Shock(0.0, 3.0, 1)]),
+                (0.3, 0.5), 3.0, dt=DT, record_stride=stride)
+        initial = FieldState(np.full(GRID.shape, 0.3),
+                             np.full(GRID.shape, 0.5))
+        return integrate_pde(PDE, GRID, ExplicitSchedule([Shock(0.0, 3.0,
+                                                                1.3)]),
+                             initial, 3.0, dt=DT, record_stride=stride)
+
+    every, thinned = trajectory(1), trajectory(3)
+    assert len(every.times) == 31 and len(thinned.times) == 11
+    for field in ("times", "lam", "alpha"):
+        want = getattr(every, field)[::3]
+        assert getattr(thinned, field).tobytes() == want.tobytes(), field
+    assert len({r.tobytes() for r in every.lam}) == len(every.times)
 
 
 def test_site_step_to_minus_infinity_stops_the_run(monkeypatch):

@@ -573,6 +573,20 @@ class TestIntegrateMembers:
             _integrate_members(grid_graph(2, 2), SPREAD, schedules,
                                t_end=1.0, dt=0.1)
 
+    def test_noisy_runs_take_one_member(self):
+        # refused before the first step, not by a broadcast error in it
+        records = []
+        schedules = [ExplicitSchedule([Shock(0.0, a, 4)]) for a in (1, 2)]
+        with pytest.raises(ValueError, match="noisy runs take one member"):
+            _drive_members(grid_graph(3, 3), SPREAD, schedules,
+                           lambda t, y: records.append(t), (0.1, 0.0),
+                           1.0, 0.1, noise="brownian")
+        assert records == []
+        _drive_members(grid_graph(3, 3), SPREAD, schedules[:1],
+                       lambda t, y: records.append(t), (0.1, 0.0), 1.0, 0.1,
+                       noise="brownian")
+        assert len(records) == 11
+
 
 class TestActivationTimes:
     def test_seed_activates_after_strong_shock(self):
