@@ -199,11 +199,10 @@ def transition_rate_arr(alpha: np.ndarray, params: ModelParams,
     alpha = np.asarray(alpha, dtype=float)
     x = np.subtract(alpha, params.a, out=out)
     x *= -params.beta
-    np.maximum(x, -700.0, out=x)
-    np.minimum(x, 700.0, out=x)
-    np.exp(x, out=x)
+    x = np.exp(np.minimum(np.maximum(x, -700.0, out=out), 700.0, out=out),
+               out=out)
     x += 1.0
-    return np.divide(1.0, x, out=x)
+    return np.divide(1.0, x, out=out)
 
 
 def tension_decay_rate_arr(lam: np.ndarray, params: ModelParams,
@@ -216,8 +215,7 @@ def tension_decay_rate_arr(lam: np.ndarray, params: ModelParams,
         h += 1.0
         h **= -params.p
     else:
-        h = np.multiply(lam, -params.p, out=out)
-        np.exp(h, out=h)
+        h = np.exp(np.multiply(lam, -params.p, out=out), out=out)
     h *= params.theta
     return h
 

@@ -12,6 +12,8 @@ from riotdyn import (ModelParams, SiteState, activity_nullcline,
                      peak_activity, self_reinforcement, tension_decay_rate,
                      tension_nullcline, tension_rate, tension_threshold,
                      transition_rate)
+from riotdyn.model import (self_reinforcement_arr, tension_decay_rate_arr,
+                           transition_rate_arr)
 
 from conftest import BASE
 
@@ -91,6 +93,25 @@ class TestTensionDecayRate:
            gap=st.floats(min_value=1e-3, max_value=10.0))
     def test_monotone_decreasing(self, l1, gap):
         assert tension_decay_rate(l1, BASE) > tension_decay_rate(l1 + gap, BASE)
+
+
+class TestArrayForms:
+    ARR = ((self_reinforcement, self_reinforcement_arr),
+           (transition_rate, transition_rate_arr),
+           (tension_decay_rate, tension_decay_rate_arr))
+
+    @pytest.mark.parametrize("form", ["power", "exponential"])
+    @pytest.mark.parametrize("scalar, arr", ARR)
+    def test_elementwise_in_place_and_zero_dim(self, scalar, arr, form):
+        p = replace(BASE, decay_form=form)
+        x = np.array([0.0, 0.3, 1.7, 6.0, 1e6])
+        want = [scalar(v, p) for v in x]
+        got = arr(x, p)
+        assert got.tolist() == pytest.approx(want, rel=1e-14, abs=1e-300)
+        out = np.full_like(x, np.nan)
+        assert arr(x, p, out=out) is out
+        assert out.tobytes() == got.tobytes()
+        assert float(arr(np.asarray(1.7), p)) == got[2]
 
 
 class TestReactions:
