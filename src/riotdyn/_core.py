@@ -21,12 +21,12 @@ WRITE_CHUNK_ROWS = 1024
 TABLE_SCHEMA_VERSION = 1   # of the .schema.json sidecar of every table
 
 
-def group_events(schedule: ShockSchedule, horizon: float,
-                 seed: int | None) -> list[tuple[float, list[Shock]]]:
+def group_events(schedule: ShockSchedule,
+                 horizon: float) -> list[tuple[float, list[Shock]]]:
     """Realized shocks grouped by time, [(t, [Shock, ...]), ...]; shocks at
     equal times share one group, in schedule order."""
     grouped: list[tuple[float, list[Shock]]] = []
-    for s in realize(schedule, horizon, seed):
+    for s in realize(schedule, horizon):
         if grouped and s.time == grouped[-1][0]:
             grouped[-1][1].append(s)
         else:

@@ -166,16 +166,15 @@ CONFIG: dict = {
         "amplitude_law": {"kind": _choice("constant", "exponential",
                                           "uniform"),
                           "a": Leaf(1.0), "b": Leaf(0.0)},
-        "site": SITE, "seed": Leaf(0, "int", lo=0)},
+        "site": SITE},
     "initial": {"lambda0": Leaf(0.01, lo=0.0), "alpha0": Leaf(0.0, lo=0.0),
                 "lambda_field": FIELD, "alpha_field": FIELD},
     "network": {"rows": Leaf(10, "int", lo=1), "cols": Leaf(10, "int", lo=1),
                 "social": _choice("copy_of_V", "hub", "two_hubs"),
                 "hub": Leaf(55, "int"),
                 "hubs": Leaf([22, 77], "int", size=(2, 2))},
-    "grid": {"length": Leaf(20.0),
-             "cells": Leaf(400, "int", size=(1, 2), scalar=True),
-             "lengths": Leaf(None, optional=True, size=(1, 2))},
+    "grid": {"length": Leaf(20.0, size=(1, 2), scalar=True),
+             "cells": Leaf(400, "int", size=(1, 2), scalar=True)},
     "pde": {"diffusivity": Leaf(1.0), "deposit": _choice("cell", "gaussian"),
             "deposit_width": Leaf(0.0),
             "nonlocal": {
@@ -202,7 +201,7 @@ CONFIG: dict = {
                            size=(1, None)),
         "p_node": Leaf(22, "int"), "m_node": Leaf(77, "int"),
         "a1": Leaf(5.0, lo=0.0, open=True), "a2": Leaf(2.0),
-        "t2": Leaf(30.0),
+        "t2": Leaf(30.0, lo=0.0),
         "trigger": Leaf(0.0, "number", size=(1, 2), scalar=True),
         "threshold": Leaf(None, optional=True),
         "alpha_b_grid": {"start": Leaf(0.1, lo=0.0), "stop": Leaf(1.0),
@@ -269,14 +268,13 @@ class RunConfig:
         if sc["kind"] == "poisson":
             return PoissonSchedule(
                 sc["rate"], AmplitudeLaw(law["kind"], law["a"], law["b"]),
-                site, sc["seed"])
+                site, self.resolved["numerics"]["seed"])
         return None
 
     def spatial_grid(self) -> SpatialGrid:
         g = self.resolved["grid"]
-        cells = g["cells"] if isinstance(g["cells"], list) else [g["cells"]]
-        lengths = [g["length"]] if g["lengths"] is None else g["lengths"]
-        return SpatialGrid(tuple(lengths), tuple(cells))
+        return SpatialGrid(*(tuple(v) if isinstance(v, list) else (v,)
+                             for v in (g["length"], g["cells"])))
 
     def pde_params(self) -> PdeParams:
         p = self.resolved["pde"]
@@ -356,7 +354,7 @@ def _validate(cfg: RunConfig) -> None:
     check_excitability(params, warn=True)
     if kind == "forced_regime" and (
             sc["kind"] not in ("periodic", "poisson") or event_count(
-                schedule, num["t_end"], num["seed"]) < MIN_FORCING_EVENTS):
+                schedule, num["t_end"]) < MIN_FORCING_EVENTS):
         raise ConfigError(f"experiment forced_regime needs a periodic or "
                           f"poisson schedule with at least "
                           f"{MIN_FORCING_EVENTS} events up to numerics.t_end")
@@ -680,12 +678,10 @@ def _run_site(cfg: RunConfig, out: Path) -> dict:
         return asdict(classify_forced_regime(
             params, cfg.schedule(), num["t_end"],
             exp["delta_fraction"] * required_peak_activity(params),
-            initial=init, dt=num["dt"], seed=num["seed"],
-            record_stride=num["output_stride"]))
+            initial=init, dt=num["dt"], record_stride=num["output_stride"]))
 
     traj = integrate_site(params, cfg.schedule(), init, num["t_end"],
-                          dt=num["dt"], seed=num["seed"],
-                          record_stride=num["output_stride"])
+                          dt=num["dt"], record_stride=num["output_stride"])
     save_trajectory(traj, out / "trajectory.txt")
     return _analysed(cfg, traj, out, {
         "max_activity": float(traj.lam.max()),
@@ -722,7 +718,7 @@ def _run_network(cfg: RunConfig, out: Path) -> dict:
 
     traj = integrate_network(graph, params, cfg.schedule(), init,
                              num["t_end"], dt=num["dt"], noise=num["noise"],
-                             noise_seed=num["seed"], seed=num["seed"],
+                             noise_seed=num["seed"],
                              record_stride=num["output_stride"])
     save_network_trajectory(traj, out / "network.txt")
     return _analysed(cfg, traj, out, {"max_activity": float(traj.lam.max())})
@@ -742,8 +738,7 @@ def _run_pde(cfg: RunConfig, out: Path) -> dict:
         _build_field(r["initial"]["lambda_field"], grid, pp, "lam"),
         _build_field(r["initial"]["alpha_field"], grid, pp, "alpha"))
     traj = integrate_pde(pp, grid, cfg.schedule(), init, num["t_end"],
-                         dt=num["dt"], seed=num["seed"],
-                         record_stride=num["output_stride"])
+                         dt=num["dt"], record_stride=num["output_stride"])
     save_field_trajectory(traj, out / "fields.txt")
     return _analysed(cfg, traj, out, {"max_activity": float(traj.lam.max())})
 
@@ -863,10 +858,9 @@ def analyze(run_dir, kind: str) -> dict:
     if cfg.model == "site":
         traj = load_trajectory(path, cfg.params())
     else:
-        num = cfg.resolved["numerics"]
         traj = load_field_trajectory(
             path, cfg.spatial_grid(), cfg.pde_params(),
-            realize(cfg.schedule(), num["t_end"], num["seed"]))
+            realize(cfg.schedule(), cfg.resolved["numerics"]["t_end"]))
     values, _ = ANALYSES[kind](cfg.resolved["experiment"], traj)
     return {"kind": kind, **values}
 

@@ -38,8 +38,8 @@ import numpy as np
 from ._core import (Stack, drive_arrays, group_events, rhs_pair, rk4,
                     write_table)
 from .errors import NoExcitedStateError
-from .model import (ModelParams, peak_activity,
-                    self_reinforcement, self_reinforcement_arr,
+from .model import (ModelParams, _bisect_predicate, _scan_roots,
+                    peak_activity, self_reinforcement, self_reinforcement_arr,
                     tension_decay_rate, tension_decay_rate_arr,
                     transition_rate, transition_rate_arr)
 from .shocks import Shock, ShockSchedule
@@ -373,7 +373,6 @@ def integrate_pde(pp: PdeParams, grid: SpatialGrid,
                   initial: FieldState | None = None,
                   t_end: float = 10.0,
                   dt: float | None = None,
-                  seed: int | None = None,
                   record_stride: int = 1) -> FieldTrajectory:
     """RK4 time stepping of the local or nonlocal system.
 
@@ -410,7 +409,7 @@ def integrate_pde(pp: PdeParams, grid: SpatialGrid,
     def stage(y, out):
         rhs(np.maximum(y, 0.0, out=clamped), out)
 
-    events = group_events(schedule, t_end, seed)
+    events = group_events(schedule, t_end)
     records = Stack()
     marks, clamps = drive_arrays(rk4(stage, y.shape), jump, y, events, t_end,
                                  dt, record_stride, records.add)
@@ -536,7 +535,6 @@ def steady_states(params: ModelParams) -> SteadyStatesReport:
         return (transition_rate(_tw_alpha_of_lam(lam, params), params)
                 * self_reinforcement(lam, params) - params.kappa * lam)
 
-    from .model import _scan_roots
     roots = sorted(set(round(r, 14) for r in _scan_roots(f, 0.0, scan_hi)))
     if not roots or roots[0] > 1e-12:
         roots = [0.0] + roots
@@ -556,17 +554,9 @@ def find_bistability_boundary(params: ModelParams, a_lo: float, a_hi: float,
     def bistable(a: float) -> bool:
         return steady_states(replace(params, a=a)).classification == "bistable"
 
-    lo_b = bistable(a_lo)
-    if lo_b == bistable(a_hi):
+    if bistable(a_lo) == bistable(a_hi):
         raise ValueError("classification does not change on [a_lo, a_hi]")
-    lo, hi = a_lo, a_hi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if bistable(mid) == lo_b:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect_predicate(bistable, a_lo, a_hi, tol)
 
 
 @dataclass(frozen=True)

@@ -122,6 +122,12 @@ class ModelParams:
         """Net decay rate omega - eta of activity under spatial coupling."""
         return self.omega - self.eta
 
+    @property
+    def tension_coupling(self) -> float:
+        """Strength of the tension coupling on networks: eta_alpha, or eta
+        when it is None."""
+        return self.eta if self.eta_alpha is None else self.eta_alpha
+
 
 @dataclass(frozen=True)
 class SiteState:
@@ -232,6 +238,21 @@ def _bisect(f: Callable[[float], float], lo: float, hi: float,
             return mid
         if (flo < 0.0) == (fmid < 0.0):
             lo, flo = mid, fmid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _bisect_predicate(pred: Callable[[float], bool], lo: float, hi: float,
+                      tol: float) -> float:
+    """Where ``pred`` changes value on [lo, hi], taking ``pred(hi)`` to
+    differ from ``pred(lo)``: the midpoint of a bracket bisected to at most
+    ``tol`` wide."""
+    at_lo = pred(lo)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if pred(mid) == at_lo:
+            lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)

@@ -159,9 +159,9 @@ def grid_graph(rows: int, cols: int, social="copy_of_V") -> Graph:
     if form == ("copy_of_V", 1):
         listen = None
     elif form in (("hub", 2), ("two_hubs", 3)):
-        hubs = [int(h) for h in spec[1:]]
-        if not all(0 <= h < n for h in hubs):
-            raise IndexError(f"hubs {hubs} out of range for {n} nodes")
+        hubs = spec[1:]
+        for h in hubs:
+            check_node_site(h, n, "hub")
         if len(set(hubs)) < len(hubs):
             raise ValueError("the two hubs must be distinct")
         # every node listens to each hub; a lone hub listens to everyone
@@ -239,8 +239,7 @@ def _validate_coupling(graph: Graph, params: ModelParams) -> None:
         raise ValueError(
             f"geographically isolated nodes {bad.tolist()} with activity "
             "coupling enabled")
-    eta_a = params.eta if params.eta_alpha is None else params.eta_alpha
-    if eta_a > 0.0 and (graph.degrees_social < 1).any():
+    if params.tension_coupling > 0.0 and (graph.degrees_social < 1).any():
         bad = np.nonzero(graph.degrees_social < 1)[0]
         raise ValueError(
             f"socially isolated nodes {bad.tolist()} with tension coupling "
@@ -273,9 +272,8 @@ def _make_rhs(graph: Graph, params: ModelParams, members: int = 1):
     cols = np.concatenate((geo_cols, social_cols))
     degrees = np.tile(graph.degrees_geo, members).astype(float)
     geo_weight = params.eta / np.maximum(degrees, 1.0)
-    eta_a = params.eta if params.eta_alpha is None else params.eta_alpha
-    social_weight = eta_a / np.tile(np.maximum(graph.degrees_social, 1),
-                                    members)
+    social_weight = params.tension_coupling / np.tile(
+        np.maximum(graph.degrees_social, 1), members)
     omega, lam_b = params.omega, params.lambda_b
     inflow = params.theta * params.alpha_b
     weights, t1, t2 = np.empty(cols.size), np.empty(n), np.empty(n)
@@ -322,7 +320,6 @@ def integrate_network(graph: Graph,
                       dt: float = 1e-3,
                       noise: str = "none",
                       noise_seed: int = 0,
-                      seed: int | None = None,
                       record_stride: int = 1) -> NetworkTrajectory:
     """Integrate the network dynamics under a shock schedule.
 
@@ -335,13 +332,13 @@ def integrate_network(graph: Graph,
     node id raises ValueError before the first step.
     """
     return _integrate_members(graph, params, [schedule], initial, t_end, dt,
-                              noise, noise_seed, seed, record_stride)[0]
+                              noise, noise_seed, record_stride)[0]
 
 
 def _integrate_members(graph: Graph, params: ModelParams, schedules,
                        initial=(0.0, 0.0), t_end: float = 50.0,
                        dt: float = 1e-3, noise: str = "none",
-                       noise_seed: int = 0, seed: int | None = None,
+                       noise_seed: int = 0,
                        record_stride: int = 1) -> list[NetworkTrajectory]:
     """:func:`integrate_network` for several schedules on one graph at once:
     one trajectory per schedule, the B members' states laid end to end.
@@ -354,7 +351,7 @@ def _integrate_members(graph: Graph, params: ModelParams, schedules,
     records = Stack()
     marks, clamps = _drive_members(graph, params, schedules, records.add,
                                    initial, t_end, dt, noise, noise_seed,
-                                   seed, record_stride)
+                                   record_stride)
     times, lams, alphas = records.arrays()
     lams, alphas = (x.reshape(len(times), len(schedules), -1)
                     for x in (lams, alphas))
@@ -364,8 +361,7 @@ def _integrate_members(graph: Graph, params: ModelParams, schedules,
 
 def _drive_members(graph: Graph, params: ModelParams, schedules, record,
                    initial, t_end: float, dt: float, noise: str = "none",
-                   noise_seed: int = 0, seed: int | None = None,
-                   record_stride: int = 1):
+                   noise_seed: int = 0, record_stride: int = 1):
     """The stepping of :func:`_integrate_members`: each record goes to
     ``record(t, y)``, y of shape (2, members*n) with the activity in row 0,
     the tension in row 1 and the members end to end in each row, and is not
@@ -377,7 +373,7 @@ def _drive_members(graph: Graph, params: ModelParams, schedules, record,
                          f"{len(schedules)}")
     _validate_coupling(graph, params)
     lam_star = peak_activity(params)
-    eta_a = params.eta if params.eta_alpha is None else params.eta_alpha
+    eta_a = params.tension_coupling
     if (lam_star is not None and eta_a > 0.0
             and tension_decay_rate(lam_star, params) <= eta_a):
         warnings.warn(
@@ -386,7 +382,7 @@ def _drive_members(graph: Graph, params: ModelParams, schedules, record,
             f"eta_alpha={eta_a:.4g}); tension mass can grow on long runs",
             stacklevel=4)
 
-    per_member = [group_events(s, t_end, seed) for s in schedules]
+    per_member = [group_events(s, t_end) for s in schedules]
     if len({tuple(t for t, _ in member) for member in per_member}) > 1:
         raise ValueError("the members' shocks must fall on the same times")
     # one event per shared time, holding each member's shocks

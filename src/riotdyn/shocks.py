@@ -3,7 +3,7 @@
 A shock is an impulse that instantaneously adds its amplitude to the social
 tension at one site; integrators stop exactly at each shock time, apply the
 jump, and resume.  Schedules are immutable; sampling a Poisson schedule is a
-pure function of (schedule, horizon, seed).
+pure function of (schedule, horizon): the schedule carries its own seed.
 
 Randomness comes from ``numpy.random.default_rng`` (PCG64).  Each event
 draws one inter-arrival gap and then one amplitude, in that order, which
@@ -113,7 +113,7 @@ class PeriodicSchedule:
 @dataclass(frozen=True)
 class PoissonSchedule:
     """Compound Poisson process: exponential(rate) inter-arrival times and
-    i.i.d. amplitudes, both determined by the seed."""
+    i.i.d. amplitudes, both determined by ``seed``."""
 
     rate: float
     amplitude_law: AmplitudeLaw = field(default_factory=AmplitudeLaw)
@@ -133,13 +133,12 @@ def _check_horizon(horizon: float) -> None:
         raise ValueError(f"horizon must be finite and > 0, got {horizon}")
 
 
-def realize(schedule: ShockSchedule, horizon: float,
-            seed: int | None = None) -> list[Shock]:
+def realize(schedule: ShockSchedule, horizon: float) -> list[Shock]:
     """Materialize a schedule as a time-sorted list of shocks on [0, horizon].
 
     Explicit schedules are truncated; periodic ones emit t = 0, T, 2T, ...
-    up to the horizon; Poisson ones are sampled with ``seed`` (falling back
-    to the schedule's own seed).  Same inputs always give the same list.
+    up to the horizon; Poisson ones are sampled with the schedule's own
+    seed.  Same inputs always give the same list.
     """
     _check_horizon(horizon)
     if schedule is None:
@@ -150,7 +149,7 @@ def realize(schedule: ShockSchedule, horizon: float,
         return [Shock(i * schedule.period, schedule.amplitude, schedule.site)
                 for i in range(event_count(schedule, horizon))]
     if isinstance(schedule, PoissonSchedule):
-        rng = np.random.default_rng(schedule.seed if seed is None else seed)
+        rng = np.random.default_rng(schedule.seed)
         scale = 1.0 / schedule.rate
         out: list[Shock] = []
         t = float(rng.exponential(scale))
@@ -162,12 +161,12 @@ def realize(schedule: ShockSchedule, horizon: float,
     raise TypeError(f"unknown schedule type {type(schedule).__name__}")
 
 
-def event_count(schedule: ShockSchedule, horizon: float, seed=None) -> int:
+def event_count(schedule: ShockSchedule, horizon: float) -> int:
     """``len(realize(...))``, without building a periodic schedule's shocks."""
     if isinstance(schedule, PeriodicSchedule):
         _check_horizon(horizon)
         return int(math.floor(horizon / schedule.period)) + 1
-    return len(realize(schedule, horizon, seed))
+    return len(realize(schedule, horizon))
 
 
 def check_node_site(site, n: int, what: str = "network shock site") -> None:

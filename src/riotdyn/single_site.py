@@ -21,9 +21,10 @@ import numpy as np
 from ._core import (NEGATIVITY_CLAMP, Stack, drive, group_events,
                     warn_clamps, write_table)
 from .errors import BlowUpError
-from .model import (ModelParams, SiteState, fixed_points,
+from .model import (ModelParams, SiteState, _bisect_predicate, fixed_points,
                     required_peak_activity, tension_nullcline)
-from .shocks import ShockSchedule, event_count
+from .shocks import (PeriodicSchedule, PoissonSchedule, ShockSchedule,
+                     event_count)
 
 __all__ = [
     "Trajectory",
@@ -97,7 +98,6 @@ def integrate_site(params: ModelParams,
                    initial: SiteState = SiteState(0.0, 0.0),
                    t_end: float = 50.0,
                    dt: float = 1e-3,
-                   seed: int | None = None,
                    record_stride: int = 1) -> Trajectory:
     """Integrate one site from ``initial`` to ``t_end`` under a schedule.
 
@@ -147,7 +147,7 @@ def integrate_site(params: ModelParams,
 
     records = Stack()
     marks = drive(step, jump, (float(initial.lam), float(initial.alpha)),
-                  group_events(schedule, t_end, seed), t_end, dt,
+                  group_events(schedule, t_end), t_end, dt,
                   record_stride, records.add)
 
     warn_clamps(clamp_count)
@@ -233,7 +233,6 @@ def classify_forced_regime(params: ModelParams,
                            delta: float,
                            initial: SiteState = SiteState(0.01, 0.0),
                            dt: float = 1e-3,
-                           seed: int | None = None,
                            record_stride: int = 10) -> ForcedRegimeResult:
     """Classify repeated forcing as sustained or decaying.
 
@@ -243,19 +242,17 @@ def classify_forced_regime(params: ModelParams,
     estimate.  ``near_peak`` additionally reports whether it stays within
     ``delta`` of the peak activity.
     """
-    from .shocks import PeriodicSchedule, PoissonSchedule
-
     if not isinstance(schedule, (PeriodicSchedule, PoissonSchedule)):
         raise ValueError("forced-regime classification needs a periodic or "
                          "poisson schedule")
-    n_events = event_count(schedule, horizon, seed)
+    n_events = event_count(schedule, horizon)
     if n_events < MIN_FORCING_EVENTS:
         raise ValueError(
             f"horizon {horizon} covers only {n_events} events; "
             f"need >= {MIN_FORCING_EVENTS}")
     lam_star = required_peak_activity(params)
     traj = integrate_site(params, schedule, initial, horizon, dt=dt,
-                          seed=seed, record_stride=record_stride)
+                          record_stride=record_stride)
     tail = traj.times >= horizon * TRANSIENT_FRACTION
     lam_tail = traj.lam[tail]
     floor = max(SUSTAINED_FLOOR_BASE_FACTOR * params.lambda_b,
@@ -288,17 +285,10 @@ def _n_points(params: ModelParams, alpha_b: float) -> int:
     return len(fixed_points(replace(params, alpha_b=alpha_b)))
 
 
-def _refine_transition(params: ModelParams, lo: float, hi: float,
-                       tol: float = 1e-6) -> float:
+def _refine_transition(params: ModelParams, lo: float, hi: float) -> float:
     """Bisect the boundary of the three-intersection region in alpha_b."""
-    lo_multi = _n_points(params, lo) >= 3
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if (_n_points(params, mid) >= 3) == lo_multi:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect_predicate(lambda v: _n_points(params, v) >= 3, lo, hi,
+                             1e-6)
 
 
 def hysteresis_sweep(params: ModelParams,

@@ -12,8 +12,9 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from riotdyn import (BlowUpError, ConfigError, NoExcitedStateError,
-                     SimulationError)
+from riotdyn import (AmplitudeLaw, BlowUpError, ConfigError,
+                     NoExcitedStateError, PoissonSchedule, SimulationError,
+                     realize)
 from riotdyn import cli
 from riotdyn.cli import (CONFIG, EXPERIMENTS, PRESETS, REQUIRED, RunConfig,
                          analyze, emit_config, main, parse_config, run,
@@ -134,14 +135,14 @@ class TestParseConfig:
     # resolved config byte for byte, so an int that turns into a float or
     # a default that moves shows here
     PRESET_HASHES = {
-        "fig-delay": "4788b71b16ed1b53", "fig-double": "aaf8f41c488a4c60",
-        "fig-fast": "fec2fa86c25dca8d", "fig-nullcline": "866ffb27c567b2da",
-        "fig-periodic": "eb912de4b3ac41ca", "fig-slow": "d53260979ccdad7c",
-        "net-delay": "0308fa082c0eda33",
-        "net-double-threshold": "98f8d9ef7d3423d4",
-        "pde-bistable": "d3ecbbb606cfc072", "pde-bump": "16c949d455275a0f",
-        "pde-monostable": "5f3b042ee1aee35a",
-        "pde-wavefront": "6382114a2b7e41a1",
+        "fig-delay": "61d66cace51230f8", "fig-double": "b8f71fb79d204d1f",
+        "fig-fast": "55ed3472e9b16ba5", "fig-nullcline": "e66e1e9da1731f6d",
+        "fig-periodic": "929b3a41fb5016ed", "fig-slow": "03c6cc66c14e3139",
+        "net-delay": "f4fcfcfebb693641",
+        "net-double-threshold": "c2edd90fd2e4b553",
+        "pde-bistable": "1990bb84ecb55931", "pde-bump": "5b19994f962aeff1",
+        "pde-monostable": "a9b525c709205f55",
+        "pde-wavefront": "7ef7d1e6da508f37",
     }
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
@@ -222,6 +223,16 @@ PROBES = [
     ("pde.nonlocal.normalize", NONLOCAL_RUN,
      {"pde": {"nonlocal": {"normalize": "no"}}}),
     ("experiment.kind", SITE_RUN, {"experiment": {"kind": "front"}}),
+    # a Poisson schedule takes its seed from numerics.seed
+    ("schedule.seed", SITE_RUN, {"schedule": {"kind": "poisson", "seed": 3}}),
+    # grid.length takes [lx, ly]
+    ("grid.lengths", {"model": "pde_local", "numerics": {"dt": 0.01,
+                                                          "t_end": 0.1}},
+     {"grid": {"lengths": [20.0]}}),
+    # a second shock before the first would be out of time order
+    ("experiment.t2", {**NET_RUN, "network": {"rows": 1, "cols": 2}},
+     {"experiment": {"kind": "delay", "p_node": 0, "m_node": 1,
+                     "t2": -1.0}}),
 ]
 
 
@@ -292,6 +303,27 @@ class TestRun:
                 assert ((tmp_path / model / "a" / name).read_bytes()
                         == (tmp_path / model / "b" / name).read_bytes()), \
                     (model, name)
+
+    def test_poisson_shocks_follow_numerics_seed(self, tmp_path):
+        law = {"kind": "exponential", "a": 2.0}
+        times = {}
+        for seed in (4, 5):
+            cfg_path = tmp_path / f"{seed}.yaml"
+            cfg_path.write_text(yaml.safe_dump({
+                "model": "site",
+                "schedule": {"kind": "poisson", "rate": 0.5,
+                             "amplitude_law": law},
+                "numerics": {"t_end": 40.0, "seed": seed,
+                             "output_stride": 50}}))
+            out = tmp_path / str(seed)
+            assert main(["run", str(cfg_path), "--output", str(out)]) == 0
+            data = np.loadtxt(out / "trajectory.txt", skiprows=1, ndmin=2)
+            times[seed] = data[data[:, 3] == 1, 0].tolist()
+            shocks = realize(PoissonSchedule(0.5, AmplitudeLaw(**law),
+                                             seed=seed), 40.0)
+            assert len(shocks) >= 5
+            assert times[seed] == [s.time for s in shocks]
+        assert times[4] != times[5]
 
     def test_steady_states_preset(self, tmp_path):
         result = run(parse_config({"preset": "pde-monostable"}),
@@ -525,7 +557,7 @@ def analyzed(run_dir, kind):
 
 
 MASS_2D = {"model": "pde_local", "params": {"eta": 0.01},
-           "grid": {"lengths": [4.0, 3.0], "cells": [16, 12]},
+           "grid": {"length": [4.0, 3.0], "cells": [16, 12]},
            "pde": {"diffusivity": 0.1},
            "schedule": {"kind": "explicit", "shocks": [
                {"time": 0.0, "amplitude": 3.0, "site": [1.1, 2.0]},
@@ -767,8 +799,8 @@ SIZES = {
     "network.cols": st.integers(1, 5),
     "grid.cells": st.integers(8, 64) | st.lists(st.just(8), min_size=1,
                                                 max_size=2),
-    "grid.lengths": st.none() | st.lists(st.sampled_from([4.0, 8.0]),
-                                         min_size=1, max_size=2),
+    "grid.length": st.sampled_from([4.0, 8.0]) | st.lists(
+        st.sampled_from([4.0, 8.0]), min_size=1, max_size=2),
     # at most about 200 events per unit time
     "schedule.period": st.floats(-2.3, 1.0).map(lambda e: 10.0 ** e),
     "schedule.rate": st.floats(-1.0, 2.3).map(lambda e: 10.0 ** e),

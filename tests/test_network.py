@@ -53,8 +53,13 @@ class TestGridGraph:
         assert C[22, 77] == 1 and C[77, 22] == 1
 
     def test_hub_out_of_range(self):
-        with pytest.raises(IndexError):
+        with pytest.raises(ValueError, match="hub 9 is not a node id"):
             grid_graph(3, 3, ("hub", 9))
+
+    def test_fractional_hub_rejected(self):
+        # not truncated to node 4
+        with pytest.raises(ValueError, match="hub 4.5 is not a node id"):
+            grid_graph(3, 3, ("hub", 4.5))
 
     @pytest.mark.parametrize("social", [
         "star", ("hub",), ("hub", 1, 2), ("two_hubs", 1), ("copy_of_V", 1),

@@ -183,8 +183,8 @@ class TestForcedRegime:
 
     def test_deterministic_given_seed(self):
         sched = PoissonSchedule(0.5, AmplitudeLaw("constant", 2.0), seed=9)
-        a = classify_forced_regime(BASE, sched, 300.0, 0.32, seed=9)
-        b = classify_forced_regime(BASE, sched, 300.0, 0.32, seed=9)
+        a = classify_forced_regime(BASE, sched, 300.0, 0.32)
+        b = classify_forced_regime(BASE, sched, 300.0, 0.32)
         assert a == b
 
     def test_poisson_flip_is_monotone(self):
@@ -193,7 +193,7 @@ class TestForcedRegime:
             sched = PoissonSchedule(nu, AmplitudeLaw("constant", 2.0), seed=42)
             res = classify_forced_regime(BASE, sched,
                                          horizon=max(500.0, 60.0 / nu),
-                                         delta=0.32, seed=42)
+                                         delta=0.32)
             regimes.append(res.regime)
         assert regimes[0] == "decaying"
         assert regimes[-1] == "sustained"
